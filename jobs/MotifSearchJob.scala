@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.core.{FlowMotifSearch, MotifCatalog}
 import repro.data.InteractionGen
 
@@ -14,12 +13,7 @@ object MotifSearchJob {
     val sf = args.lift(4).map(_.toDouble).getOrElse(1.0)
     val spark = JobSession.create("MotifSearch")
     try {
-      val edges = dataset match {
-        case "bitcoin"   => InteractionGen.bitcoinLike(spark, sf)
-        case "facebook"  => InteractionGen.facebookLike(spark, sf)
-        case "passenger" => InteractionGen.passengerLike(spark, sf)
-        case other       => sys.error(s"unknown dataset $other")
-      }
+      val edges = InteractionGen.byName(spark, dataset, sf)
       val motif = MotifCatalog.byName(motifName)
       val t0 = System.nanoTime()
       val n = FlowMotifSearch.countInstances(spark, edges, motif, deltaS.toLong, phiS.toDouble)

@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.core.MotifCatalog
 import repro.data.InteractionGen
 import repro.stats.Significance
@@ -15,12 +14,7 @@ object SignificanceJob {
     val sf = args.lift(4).map(_.toDouble).getOrElse(1.0)
     val spark = JobSession.create("Significance")
     try {
-      val edges = (dataset match {
-        case "bitcoin"   => InteractionGen.bitcoinLike(spark, sf)
-        case "facebook"  => InteractionGen.facebookLike(spark, sf)
-        case "passenger" => InteractionGen.passengerLike(spark, sf)
-        case other       => sys.error(s"unknown dataset $other")
-      }).cache()
+      val edges = InteractionGen.byName(spark, dataset, sf).cache()
       for (m <- MotifCatalog.all) {
         val s = Significance.study(spark, edges, m, deltaS.toLong, phiS.toDouble, nrS.toInt)
         println(f"${m.name}%-10s real=${s.real}%8d mean=${s.mean}%10.1f std=${s.std}%8.1f " +

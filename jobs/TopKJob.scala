@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.core.{MotifCatalog, TopKSearch}
 import repro.data.InteractionGen
 
@@ -14,12 +13,7 @@ object TopKJob {
     val sf = args.lift(4).map(_.toDouble).getOrElse(1.0)
     val spark = JobSession.create("TopK")
     try {
-      val edges = dataset match {
-        case "bitcoin"   => InteractionGen.bitcoinLike(spark, sf)
-        case "facebook"  => InteractionGen.facebookLike(spark, sf)
-        case "passenger" => InteractionGen.passengerLike(spark, sf)
-        case other       => sys.error(s"unknown dataset $other")
-      }
+      val edges = InteractionGen.byName(spark, dataset, sf)
       val motif = MotifCatalog.byName(motifName)
       val top = TopKSearch.topK(spark, edges, motif, deltaS.toLong, kS.toInt)
       top.zipWithIndex.foreach { case (inst, i) =>

@@ -2,8 +2,10 @@ package repro.core
 
 import scala.collection.mutable.ArrayBuffer
 
-/** Phase P2 of the paper's two-phase algorithm (Algorithm 1): enumerate the
-  * maximal flow-motif instances inside one structural match.
+/** Phase P2 of the paper's two-phase algorithm: the one window scan and the
+  * one Algorithm-1 recursion behind counting/enumeration (fixed φ), top-k
+  * ([[TopKEnumerator]], floating threshold) and the top-1 DP ([[MaxFlowDP]],
+  * which reuses only the window scan).
   *
   * Windows are anchored at each timestamp of `R(e_1)`: `T = [t_s, t_s + δ]`.
   * A window is *skipped* when it contains no `R(e_m)` element later than the
@@ -35,7 +37,8 @@ import scala.collection.mutable.ArrayBuffer
   * element lies strictly between `x` and that next element (otherwise the
   * next element could be added — the paper's "no instance contains just the
   * first two elements of e_1" remark for Figure 7). The φ check on every
-  * prefix prunes the search space exactly as in Algorithm 1 line 16.
+  * prefix prunes the search space exactly as in Algorithm 1 line 16; top-k
+  * replaces φ by the k-th best flow found so far (Section 5).
   */
 object LocalEnumerator {
 
@@ -48,81 +51,76 @@ object LocalEnumerator {
       phi: Double
   ): Vector[LocalInstance] = {
     val out = Vector.newBuilder[LocalInstance]
-    run(seriesIn, delta, phi)(inst => out += inst)
+    search(seriesIn, delta)(_ >= phi)(out += _)
     out.result()
   }
 
   /** Count instances without materializing them. */
   def count(seriesIn: IndexedSeq[IndexedSeq[TF]], delta: Long, phi: Double): Long = {
     var n = 0L
-    run(seriesIn, delta, phi)(_ => n += 1)
+    search(seriesIn, delta)(_ >= phi)(_ => n += 1)
     n
   }
 
-  /** Core driver: invoke `emit` for every maximal instance satisfying δ, φ. */
-  def run(
-      seriesIn: IndexedSeq[IndexedSeq[TF]],
-      delta: Long,
-      phi: Double
-  )(emit: LocalInstance => Unit): Unit = {
-    require(delta >= 0, "delta must be non-negative")
+  /** Normalize `seriesIn` once and call `visit(series, a, windowEnd)` for every
+    * window `[R(e_1)(a).t, R(e_1)(a).t + δ]` the skip rule keeps, in order.
+    */
+  def windows(seriesIn: IndexedSeq[IndexedSeq[TF]], delta: Long)(
+      visit: (IndexedSeq[IndexedSeq[TF]], Int, Long) => Unit
+  ): Unit = {
+    require(delta >= 0, s"delta must be non-negative, got $delta")
     val series = Series.normalize(seriesIn)
-    val m = series.length
-    if (m == 0 || series.exists(_.isEmpty)) return
-    val e1 = series(0)
-    val em = series(m - 1)
-
-    val chosen = new Array[Vector[TF]](m)
-
-    def rec(ei: Int, startIdx: Int, windowEnd: Long): Unit = {
-      val s = series(ei)
-      if (startIdx >= s.length || s(startIdx).t > windowEnd) return // empty edge-set
-      if (ei == m - 1) {
-        // Last edge: take everything up to the window end (maximal by construction).
-        var j = startIdx
-        var fsum = 0.0
-        val buf = new ArrayBuffer[TF]()
-        while (j < s.length && s(j).t <= windowEnd) { fsum += s(j).f; buf += s(j); j += 1 }
-        if (fsum >= phi) {
-          chosen(ei) = buf.toVector
-          emit(LocalInstance(chosen.toVector))
-        }
-      } else {
-        val next = series(ei + 1)
-        var k = startIdx
-        var fsum = 0.0
-        val buf = new ArrayBuffer[TF]()
-        while (k < s.length && s(k).t <= windowEnd) {
-          fsum += s(k).f
-          buf += s(k)
-          val tk = s(k).t
-          val nIdx = Series.upperBound(next, tk) // forced start of E_{i+1}
-          val nT = if (nIdx < next.length) next(nIdx).t else Long.MaxValue
-          val ownNextT = if (k + 1 < s.length) s(k + 1).t else Long.MaxValue
-          // Maximal cut: e_i's next element must not be addable to this prefix.
-          val maximalCut = !(ownNextT <= windowEnd && ownNextT < nT)
-          if (maximalCut && fsum >= phi) { // φ prefix pruning (Algorithm 1 line 16)
-            chosen(ei) = buf.toVector
-            rec(ei + 1, nIdx, windowEnd)
-          }
-          k += 1
-        }
-      }
-    }
-
+    if (series.isEmpty || series.exists(_.isEmpty)) return
+    val e1 = series.head
+    val em = series.last
     var prevEnd = Long.MinValue
-    var a = 0
-    while (a < e1.length) {
-      val ts = e1(a).t
-      val we = ts + delta
+    for (a <- e1.indices) {
+      val we = e1(a).t + delta
       // Skip rule: no R(e_m) element in (prevEnd, we] => only non-maximal instances.
       val lo = Series.upperBound(em, prevEnd)
-      val hasNew = lo < em.length && em(lo).t <= we
-      if (hasNew) {
-        rec(0, a, we)
+      if (lo < em.length && em(lo).t <= we) {
+        visit(series, a, we)
         prevEnd = we
       }
-      a += 1
     }
+  }
+
+  /** Algorithm 1: invoke `emit` for every maximal instance whose edge-set flow
+    * sums all pass `admit`. `admit` sees the running minimum edge-set flow of
+    * each admissible prefix (the instance flow so far) and is re-evaluated on
+    * every prefix, so its threshold may rise while the search runs.
+    */
+  def search(seriesIn: IndexedSeq[IndexedSeq[TF]], delta: Long)(admit: Double => Boolean)(
+      emit: LocalInstance => Unit
+  ): Unit = windows(seriesIn, delta) { (series, a, windowEnd) =>
+    val m = series.length
+    val chosen = new Array[Vector[TF]](m)
+
+    def rec(ei: Int, startIdx: Int, minSoFar: Double): Unit = {
+      val s = series(ei)
+      // The last edge-set is cut only at the window end: no next series stops it.
+      val next = if (ei + 1 < m) series(ei + 1) else IndexedSeq.empty[TF]
+      val buf = new ArrayBuffer[TF]()
+      var fsum = 0.0
+      var k = startIdx
+      while (k < s.length && s(k).t <= windowEnd) {
+        fsum += s(k).f
+        buf += s(k)
+        val nIdx = Series.upperBound(next, s(k).t) // forced start of E_{i+1}
+        val nT = if (nIdx < next.length) next(nIdx).t else Long.MaxValue
+        val ownNextT = if (k + 1 < s.length) s(k + 1).t else Long.MaxValue
+        // Maximal cut: e_i's next element must not be addable to this prefix.
+        val maximalCut = !(ownNextT <= windowEnd && ownNextT < nT)
+        val flow = math.min(minSoFar, fsum)
+        if (maximalCut && admit(flow)) { // prefix pruning (Algorithm 1 line 16)
+          chosen(ei) = buf.toVector
+          if (ei == m - 1) emit(LocalInstance(chosen.toVector))
+          else rec(ei + 1, nIdx, flow)
+        }
+        k += 1
+      }
+    }
+
+    rec(0, a, Double.PositiveInfinity)
   }
 }

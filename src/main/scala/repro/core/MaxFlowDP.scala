@@ -77,30 +77,14 @@ object MaxFlowDP {
   }
 
   /** Top-1 instance flow over the whole structural match: Algorithm 2 applied
-    * to every (non-skipped) window position. Windows are anchored at the
-    * timestamps of `R(e_1)` with the same skip rule as [[LocalEnumerator]] —
-    * a skipped window's instances are all dominated by extensions found in an
-    * earlier window, and extensions only gain flow.
+    * to every window [[LocalEnumerator.windows]] keeps. A skipped window's
+    * instances are all dominated by extensions found in an earlier window, and
+    * extensions only gain flow.
     */
   def maxFlow(seriesIn: IndexedSeq[IndexedSeq[TF]], delta: Long): Double = {
-    val series = Series.normalize(seriesIn)
-    val m = series.length
-    if (m == 0 || series.exists(_.isEmpty)) return 0.0
-    val e1 = series(0)
-    val em = series(m - 1)
     var best = 0.0
-    var prevEnd = Long.MinValue
-    var a = 0
-    while (a < e1.length) {
-      val ts = e1(a).t
-      val we = ts + delta
-      val lo = Series.upperBound(em, prevEnd)
-      val hasNew = lo < em.length && em(lo).t <= we
-      if (hasNew) {
-        best = math.max(best, windowMaxFlow(series, ts, we))
-        prevEnd = we
-      }
-      a += 1
+    LocalEnumerator.windows(seriesIn, delta) { (series, a, windowEnd) =>
+      best = math.max(best, windowMaxFlow(series, series.head(a).t, windowEnd))
     }
     best
   }

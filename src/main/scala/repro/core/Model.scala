@@ -29,9 +29,16 @@ final case class LocalInstance(sets: Vector[Vector[TF]]) {
   * motif edge with label i+1 is mapped to, sorted by timestamp.
   */
 object Series {
-  /** Validate and normalize a per-edge series bundle: sorted, positive flows. */
+  /** Validate and normalize a per-edge series bundle: sorted, positive flows.
+    * Instance flows are then strictly positive, which the DP's "0 = no
+    * instance" encoding relies on.
+    */
   def normalize(series: IndexedSeq[IndexedSeq[TF]]): IndexedSeq[IndexedSeq[TF]] =
-    series.map(_.sortBy(_.t))
+    series.map { s =>
+      for (x <- s) require(x.f > 0 && x.f < Double.PositiveInfinity,
+        s"interaction flows must be positive and finite, got f=${x.f} at t=${x.t}")
+      s.sortBy(_.t)
+    }
 
   /** Index of the first element with `t >= lo` (binary search; series sorted). */
   def lowerBound(s: IndexedSeq[TF], lo: Long): Int = {

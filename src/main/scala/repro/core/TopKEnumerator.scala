@@ -4,11 +4,10 @@ import scala.collection.mutable
 
 /** Top-k flow motif search inside one structural match (Section 5).
   *
-  * Same enumeration as [[LocalEnumerator]] with φ = 0, but a min-heap of the k
-  * best instance flows found so far provides a *floating* threshold: a prefix
-  * whose flow sum (or whose already-chosen edge-sets' minimum flow) cannot
-  * strictly beat the current k-th best flow is pruned, exactly as the paper
-  * replaces φ by `f(G_I^k)`.
+  * Algorithm 1 ([[LocalEnumerator.search]]) with φ replaced by a *floating*
+  * threshold: a min-heap holds the k best instance flows found so far, and a
+  * prefix whose flow cannot strictly beat the current k-th best is pruned,
+  * exactly as the paper replaces φ by `f(G_I^k)`.
   */
 object TopKEnumerator {
 
@@ -19,70 +18,13 @@ object TopKEnumerator {
       k: Int
   ): Vector[LocalInstance] = {
     require(k >= 1, "k must be >= 1")
-    val series = Series.normalize(seriesIn)
-    val m = series.length
-    if (m == 0 || series.exists(_.isEmpty)) return Vector.empty
-    val e1 = series(0)
-    val em = series(m - 1)
-
     // Min-heap on instance flow: head is the k-th best so far.
-    implicit val byFlowDesc: Ordering[LocalInstance] = Ordering.by[LocalInstance, Double](_.flow).reverse
-    val heap = mutable.PriorityQueue.empty[LocalInstance]
+    val heap = mutable.PriorityQueue.empty(Ordering.by[LocalInstance, Double](_.flow).reverse)
     def threshold: Double = if (heap.size >= k) heap.head.flow else Double.NegativeInfinity
-    def offer(inst: LocalInstance): Unit = {
-      if (heap.size < k) heap.enqueue(inst)
-      else if (inst.flow > threshold) { heap.dequeue(); heap.enqueue(inst) }
-    }
-
-    val chosen = new Array[Vector[TF]](m)
-
-    def rec(ei: Int, startIdx: Int, windowEnd: Long, minSoFar: Double): Unit = {
-      val s = series(ei)
-      if (startIdx >= s.length || s(startIdx).t > windowEnd) return
-      if (ei == m - 1) {
-        var j = startIdx
-        var fsum = 0.0
-        val buf = Vector.newBuilder[TF]
-        while (j < s.length && s(j).t <= windowEnd) { fsum += s(j).f; buf += s(j); j += 1 }
-        if (math.min(minSoFar, fsum) > threshold) {
-          chosen(ei) = buf.result()
-          offer(LocalInstance(chosen.toVector))
-        }
-      } else {
-        val next = series(ei + 1)
-        var k2 = startIdx
-        var fsum = 0.0
-        val buf = scala.collection.mutable.ArrayBuffer.empty[TF]
-        while (k2 < s.length && s(k2).t <= windowEnd) {
-          fsum += s(k2).f
-          buf += s(k2)
-          val tk = s(k2).t
-          val nIdx = Series.upperBound(next, tk)
-          val nT = if (nIdx < next.length) next(nIdx).t else Long.MaxValue
-          val ownNextT = if (k2 + 1 < s.length) s(k2 + 1).t else Long.MaxValue
-          val maximalCut = !(ownNextT <= windowEnd && ownNextT < nT)
-          // Floating-threshold pruning: this prefix caps the instance flow.
-          if (maximalCut && math.min(minSoFar, fsum) > threshold) {
-            chosen(ei) = buf.toVector
-            rec(ei + 1, nIdx, windowEnd, math.min(minSoFar, fsum))
-          }
-          k2 += 1
-        }
-      }
-    }
-
-    var prevEnd = Long.MinValue
-    var a = 0
-    while (a < e1.length) {
-      val ts = e1(a).t
-      val we = ts + delta
-      val lo = Series.upperBound(em, prevEnd)
-      val hasNew = lo < em.length && em(lo).t <= we
-      if (hasNew) {
-        rec(0, a, we, Double.PositiveInfinity)
-        prevEnd = we
-      }
-      a += 1
+    // search emits only instances that beat the threshold, so a full heap drops its worst.
+    LocalEnumerator.search(seriesIn, delta)(_ > threshold) { inst =>
+      if (heap.size >= k) heap.dequeue()
+      heap.enqueue(inst)
     }
     heap.dequeueAll.toVector.sortBy((i: LocalInstance) => -i.flow)
   }

@@ -207,4 +207,12 @@ object InteractionGen {
 
   def passengerLike(spark: SparkSession, sf: Double = 1.0, seed: Long = 44): DataFrame =
     generate(spark, passengerConfig(sf, seed))
+
+  /** The synthetic network named on a job's command line. */
+  def byName(spark: SparkSession, name: String, sf: Double): DataFrame = name match {
+    case "bitcoin"   => bitcoinLike(spark, sf)
+    case "facebook"  => facebookLike(spark, sf)
+    case "passenger" => passengerLike(spark, sf)
+    case other       => sys.error(s"unknown dataset $other")
+  }
 }

@@ -74,6 +74,20 @@ class MaxFlowDPSpec extends AnyFunSuite {
     assert(MaxFlowDP.windowMaxFlow(series, 10, 40) == 55.0)
   }
 
+  test("negative δ is rejected") {
+    intercept[IllegalArgumentException](MaxFlowDP.maxFlow(TestGraphs.fig7Series, delta = -1))
+  }
+
+  test("non-positive or non-finite flows are rejected by every P2 kernel") {
+    // The DP encodes "no instance" as 0, so a negative-flow instance would vanish silently.
+    for (f <- Seq(-1.0, 0.0, Double.NaN, Double.PositiveInfinity)) {
+      val series = Vector(Vector(TF(1, f)), Vector(TF(2, f)))
+      intercept[IllegalArgumentException](MaxFlowDP.maxFlow(series, 10))
+      intercept[IllegalArgumentException](TopKEnumerator.topK(series, 10, 1))
+      intercept[IllegalArgumentException](LocalEnumerator.count(series, 10, 0))
+    }
+  }
+
   test("dpTable matrix dimensions are m x τ") {
     val (ts, table) = MaxFlowDP.dpTable(TestGraphs.fig7Series, 10, 20)
     assert(table.length == 3)

@@ -44,6 +44,10 @@ class TopKSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](TopKEnumerator.topK(TestGraphs.fig7Series, 10, 0))
   }
 
+  test("negative δ is rejected") {
+    intercept[IllegalArgumentException](TopKEnumerator.topK(TestGraphs.fig7Series, delta = -1, k = 1))
+  }
+
   test("floating threshold never drops a top instance on adversarial order (big flows late)") {
     // Early low-flow instances fill the heap; later high-flow ones must displace them.
     val series = Vector(
