@@ -14,12 +14,16 @@ import repro.data.InteractionGen
 trait BenchBase extends SparkSpec {
   val benchSf: Double = sys.env.getOrElse("BENCH_SF", "1.0").toDouble
 
-  /** The three datasets with their paper-default (δ, φ). */
-  lazy val datasets: Seq[(String, DataFrame, Long, Double)] = Seq(
-    ("Bitcoin-like", InteractionGen.bitcoinLike(spark, benchSf).cache(), 600L, 5.0),
-    ("Facebook-like", InteractionGen.facebookLike(spark, benchSf).cache(), 600L, 3.0),
-    ("Passenger-like", InteractionGen.passengerLike(spark, benchSf).cache(), 900L, 2.0)
-  )
+  /** The paper's default (δ, φ) per dataset. */
+  private val paperDefaults = Map("bitcoin" -> (600L, 5.0), "facebook" -> (600L, 3.0),
+    "passenger" -> (900L, 2.0))
+
+  /** The three datasets, by label, with their paper-default (δ, φ). */
+  lazy val datasets: Seq[(String, DataFrame, Long, Double)] = InteractionGen.labels.map {
+    case (name, label) =>
+      val (delta, phi) = paperDefaults(name)
+      (label, InteractionGen.byName(spark, name, benchSf).cache(), delta, phi)
+  }
 
   def timed[A](body: => A): (A, Double) = {
     val t0 = System.nanoTime()

@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.data.{InteractionGen, NetworkStats}
 
 /** Regenerates the paper's Table 3 (dataset statistics) on the synthetic
@@ -12,12 +11,9 @@ object Table3Job {
     val spark = JobSession.create("Table3")
     try {
       println(f"${"Dataset"}%-16s ${"#nodes"}%10s ${"#pairs"}%10s ${"#edges"}%10s ${"avg flow"}%10s")
-      for ((name, df) <- Seq(
-        ("Bitcoin-like", InteractionGen.bitcoinLike(spark, sf)),
-        ("Facebook-like", InteractionGen.facebookLike(spark, sf)),
-        ("Passenger-like", InteractionGen.passengerLike(spark, sf)))) {
-        val s = NetworkStats.stats(df)
-        println(f"$name%-16s ${s.nodes}%10d ${s.connectedPairs}%10d ${s.edges}%10d ${s.avgFlow}%10.3f")
+      for ((name, label) <- InteractionGen.labels) {
+        val s = NetworkStats.stats(InteractionGen.byName(spark, name, sf))
+        println(f"$label%-16s ${s.nodes}%10d ${s.connectedPairs}%10d ${s.edges}%10d ${s.avgFlow}%10.3f")
       }
     } finally spark.stop()
   }

@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.core.{MotifCatalog, StructuralMatcher, TimeSeriesGraph}
 import repro.data.InteractionGen
 
@@ -12,13 +11,10 @@ object Table4Job {
     val sf = args.headOption.map(_.toDouble).getOrElse(1.0)
     val spark = JobSession.create("Table4")
     try {
-      for ((name, df) <- Seq(
-        ("Bitcoin-like", InteractionGen.bitcoinLike(spark, sf)),
-        ("Facebook-like", InteractionGen.facebookLike(spark, sf)),
-        ("Passenger-like", InteractionGen.passengerLike(spark, sf)))) {
-        val pairs = TimeSeriesGraph.pairs(df).cache()
+      for ((name, label) <- InteractionGen.labels) {
+        val pairs = TimeSeriesGraph.pairs(InteractionGen.byName(spark, name, sf)).cache()
         pairs.count() // materialize input once; time only the matching
-        println(s"== $name ==")
+        println(s"== $label ==")
         for (m <- MotifCatalog.all) {
           val t0 = System.nanoTime()
           val n = StructuralMatcher.matches(pairs, m).count()

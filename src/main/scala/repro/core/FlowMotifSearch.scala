@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, Row, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** A structural match bundled with its per-motif-edge time series, the unit of
@@ -21,27 +21,32 @@ final case class InstanceRow(
 )
 
 /** The paper's two-phase flow motif search, distributed:
-  * P1 = [[StructuralMatcher]] (DataFrame joins); P2 = [[LocalEnumerator]]
-  * (Algorithm 1) run per structural match inside a typed `flatMap`, after the
-  * per-edge interaction series are attached to each match by m more joins
-  * against the time-series graph.
+  * P1 = [[StructuralMatcher]] (the spanning-path DFS over a broadcast `G_T`
+  * index, which hands each match over with its per-edge series);
+  * P2 = [[LocalEnumerator]] (Algorithm 1) run per structural match inside a
+  * typed `flatMap`.
   */
 object FlowMotifSearch {
 
-  /** Phase P1 + series attachment: one [[MatchRow]] per structural match. */
+  /** Phase P1: one [[MatchRow]] per structural match. `G_T` is built by one
+    * groupBy and collected into the DFS's index; every row is checked on the
+    * way, so a null column, or a flow that is not positive and finite, fails
+    * here with the column and its value.
+    */
   def matchRows(spark: SparkSession, edges: DataFrame, motif: Motif): Dataset[MatchRow] = {
     import spark.implicits._
-    val tsg = TimeSeriesGraph.build(edges).cache()
-    val m = StructuralMatcher.matches(TimeSeriesGraph.pairs(edges), motif)
-    val withSeries = motif.edges.zipWithIndex.foldLeft(m) { case (df, ((a, b), i)) =>
-      val t = tsg.select(col("src").as(s"_a$i"), col("dst").as(s"_b$i"), col("series").as(s"s$i"))
-      df.join(t, col(StructuralMatcher.vcol(a)) === col(s"_a$i") &&
-                 col(StructuralMatcher.vcol(b)) === col(s"_b$i"))
-        .drop(s"_a$i", s"_b$i")
-    }
-    val vsCol = array(motif.vertexIds.map(i => col(StructuralMatcher.vcol(i))): _*)
-    val seriesCol = array((0 until motif.m).map(i => col(s"s$i")): _*)
-    withSeries.select(vsCol.as("vs"), seriesCol.as("series")).as[MatchRow]
+    val rows = StructuralMatcher.search(TimeSeriesGraph.build(edges), motif)(checkedSeries)(
+      (vs, series) => MatchRow(vs.toSeq, series.toSeq))
+    spark.createDataset(rows)
+  }
+
+  private def checkedSeries(r: Row): Seq[TF] = r.getSeq[Row](r.fieldIndex("series")).map { e =>
+    for (c <- Seq("t", "f"))
+      require(!e.isNullAt(e.fieldIndex(c)),
+        s"column $c must not be null, got $c=null on edge (${r.getAs[Long]("src")}, ${r.getAs[Long]("dst")})")
+    val x = TF(e.getAs[Long]("t"), e.getAs[Double]("f"))
+    Series.requireFlow(x)
+    x
   }
 
   /** All maximal instances of `(motif, δ, φ)` in the interaction network.
@@ -59,6 +64,7 @@ object FlowMotifSearch {
       materializeSets: Boolean = true
   ): Dataset[InstanceRow] = {
     import spark.implicits._
+    LocalEnumerator.requireDelta(delta)
     matchRows(spark, edges, motif).flatMap { mr =>
       val series = mr.series.map(_.toIndexedSeq).toIndexedSeq
       LocalEnumerator.enumerate(series, delta, phi).map { inst =>
@@ -77,6 +83,7 @@ object FlowMotifSearch {
       phi: Double
   ): Long = {
     import spark.implicits._
+    LocalEnumerator.requireDelta(delta)
     val counts = matchRows(spark, edges, motif)
       .map(mr => LocalEnumerator.count(mr.series.map(_.toIndexedSeq).toIndexedSeq, delta, phi))
     counts.toDF("n").agg(coalesce(sum("n"), lit(0L)).as("total")).head.getLong(0)

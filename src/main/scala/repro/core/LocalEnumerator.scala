@@ -62,13 +62,18 @@ object LocalEnumerator {
     n
   }
 
+  /** The one check on δ, made by every P2 kernel and, before any Spark job,
+    * by every search entry point.
+    */
+  def requireDelta(delta: Long): Unit = require(delta >= 0, s"delta must be non-negative, got $delta")
+
   /** Normalize `seriesIn` once and call `visit(series, a, windowEnd)` for every
     * window `[R(e_1)(a).t, R(e_1)(a).t + δ]` the skip rule keeps, in order.
     */
   def windows(seriesIn: IndexedSeq[IndexedSeq[TF]], delta: Long)(
       visit: (IndexedSeq[IndexedSeq[TF]], Int, Long) => Unit
   ): Unit = {
-    require(delta >= 0, s"delta must be non-negative, got $delta")
+    requireDelta(delta)
     val series = Series.normalize(seriesIn)
     if (series.isEmpty || series.exists(_.isEmpty)) return
     val e1 = series.head

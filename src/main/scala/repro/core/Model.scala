@@ -30,15 +30,24 @@ final case class LocalInstance(sets: Vector[Vector[TF]]) {
   */
 object Series {
   /** Validate and normalize a per-edge series bundle: sorted, positive flows.
-    * Instance flows are then strictly positive, which the DP's "0 = no
-    * instance" encoding relies on.
+    * One pass checks the flows and the order; only an unsorted series is
+    * sorted (`G_T`'s are sorted already).
     */
   def normalize(series: IndexedSeq[IndexedSeq[TF]]): IndexedSeq[IndexedSeq[TF]] =
     series.map { s =>
-      for (x <- s) require(x.f > 0 && x.f < Double.PositiveInfinity,
-        s"interaction flows must be positive and finite, got f=${x.f} at t=${x.t}")
-      s.sortBy(_.t)
+      var sorted = true
+      for (i <- s.indices) {
+        requireFlow(s(i))
+        if (i > 0 && s(i - 1).t > s(i).t) sorted = false
+      }
+      if (sorted) s else s.sortBy(_.t)
     }
+
+  /** Flows must be positive and finite. Instance flows are then strictly
+    * positive, which the DP's "0 = no instance" encoding relies on.
+    */
+  def requireFlow(x: TF): Unit = require(x.f > 0 && x.f < Double.PositiveInfinity,
+    s"column f must be positive and finite, got f=${x.f} at t=${x.t}")
 
   /** Index of the first element with `t >= lo` (binary search; series sorted). */
   def lowerBound(s: IndexedSeq[TF], lo: Long): Int = {

@@ -1,18 +1,22 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import scala.collection.mutable.ArrayBuffer
+import scala.reflect.ClassTag
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types.{LongType, StructField, StructType}
 
 /** Phase P1 (Section 4): find every structural match of a motif's spanning
   * path in the time-series graph, disregarding timestamps, δ and φ.
   *
-  * The paper walks the spanning path with a modified DFS; the relational
-  * equivalent is one self-join of the distinct-pair table per motif edge,
-  * binding a new vertex column when the path reaches a vertex for the first
-  * time and filtering against the bound column when it revisits one (cycle
-  * closure), plus pairwise distinctness filters for the vertex bijection.
-  * Catalyst plans this as a chain of shuffle joins — the distributed analogue
-  * of the paper's DFS enumeration.
+  * This is the paper's modified DFS. The `G_T`-shaped table is collected on
+  * the driver into an adjacency index `src → [(dst, payload)]`, which is
+  * broadcast; each executor walks the spanning path from its share of the
+  * start vertices. The walk binds a motif vertex on its first visit to any
+  * out-neighbour not bound yet (the vertex bijection), and on a revisit
+  * (cycle closure) follows only the edge to the vertex already bound. The
+  * payload of each traversed edge rides along, so phase P2 gets each match
+  * with its series and no join is needed.
   */
 object StructuralMatcher {
 
@@ -25,28 +29,77 @@ object StructuralMatcher {
     * @param pairs distinct `(src, dst)` pairs of `G_T` (see [[TimeSeriesGraph.pairs]])
     */
   def matches(pairs: DataFrame, motif: Motif): DataFrame = {
-    val p = pairs.select(col("src"), col("dst"))
-    val first = motif.edges.head
-    var df = p.select(col("src").as(vcol(first._1)), col("dst").as(vcol(first._2)))
-    var bound = Set(first._1, first._2)
-    for (step <- 1 until motif.m) {
-      val (a, b) = motif.edges(step)
-      val stepDf = p.select(col("src").as("_sa"), col("dst").as("_sb"))
-      df = df.join(stepDf, col(vcol(a)) === col("_sa"))
-      df =
-        if (bound(b)) df.where(col("_sb") === col(vcol(b))).drop("_sa", "_sb")
-        else { bound += b; df.withColumn(vcol(b), col("_sb")).drop("_sa", "_sb") }
-    }
-    // Vertex bijection: distinct motif vertices map to distinct graph vertices.
-    val vs = motif.vertexIds
-    val distinctness = for { i <- vs; j <- vs if i < j } yield col(vcol(i)) =!= col(vcol(j))
-    df.where(distinctness.reduceOption(_ && _).getOrElse(lit(true)))
-      .select(vs.map(i => col(vcol(i))): _*)
+    val rows = search(pairs.select("src", "dst"), motif)(_ => ())((vs, _) => Row.fromSeq(vs.toSeq))
+    val schema = StructType(motif.vertexIds.map(i => StructField(vcol(i), LongType, nullable = false)))
+    pairs.sparkSession.createDataFrame(rows, schema)
   }
 
-  /** The SQL a relational engine would run for the same match set — used by
-    * tests to cross-check the Spark matcher against DuckDB over a `pairs`
-    * table with columns (src, dst). Output column `n` = number of matches.
+  /** Every structural match of `motif` over `table` (columns `src`, `dst`,
+    * anything else `payload` reads), one `out(vs, payloads)` per match:
+    * `vs(i)` is the graph vertex bound to motif vertex `i`, `payloads(i)` is
+    * `payload` of the row motif edge `i+1` traverses. Both arrays are reused
+    * between calls, so `out` must copy what it keeps.
+    *
+    * `payload` runs on the driver while the index is built, once per row, so
+    * it is where the rows are checked; `src` and `dst` are checked here.
+    */
+  def search[P: ClassTag, R: ClassTag](table: DataFrame, motif: Motif)(payload: Row => P)(
+      out: (Array[Long], Array[P]) => R
+  ): RDD[R] = {
+    val sc = table.sparkSession.sparkContext
+    val index = table.collect().groupMap(r => vertex(r, "src")) { r =>
+      (vertex(r, "dst"), payload(r))
+    }
+    val adjacency = sc.broadcast(index)
+    val starts = index.keys.toVector.sorted
+    sc.parallelize(starts, sc.defaultParallelism).mapPartitions { it =>
+      val adj = adjacency.value
+      val none = Array.empty[(Long, P)]
+      it.flatMap { start =>
+        val found = ArrayBuffer.empty[R]
+        walk(v => adj.getOrElse(v, none), motif, start)((vs, ps) => found += out(vs, ps))
+        found
+      }
+    }
+  }
+
+  private def vertex(r: Row, column: String): Long = {
+    val i = r.fieldIndex(column)
+    require(!r.isNullAt(i), s"column $column must not be null, got $column=null")
+    r.getLong(i)
+  }
+
+  /** The DFS along the spanning path from one start vertex. Motif vertices
+    * are numbered by first appearance along the path, so after binding `n`
+    * of them, `path(i + 1)` is new exactly when it equals `n`.
+    */
+  private def walk[P: ClassTag](adj: Long => Array[(Long, P)], motif: Motif, start: Long)(
+      emit: (Array[Long], Array[P]) => Unit
+  ): Unit = {
+    val path = motif.path
+    val vs = new Array[Long](motif.numVertices)
+    val ps = new Array[P](motif.m)
+
+    def step(i: Int, bound: Int): Unit =
+      if (i == motif.m) emit(vs, ps)
+      else {
+        val b = path(i + 1)
+        for ((w, p) <- adj(vs(path(i)))) {
+          if (b < bound) {
+            if (w == vs(b)) { ps(i) = p; step(i + 1, bound) } // cycle closure
+          } else if (!vs.iterator.take(bound).contains(w)) { // injectivity
+            vs(b) = w; ps(i) = p; step(i + 1, bound + 1)
+          }
+        }
+      }
+
+    vs(0) = start
+    step(0, 1)
+  }
+
+  /** The SQL a relational engine would run for the same match set — the
+    * reference the DFS is tested against, with DuckDB over a `pairs` table
+    * with columns (src, dst). Output column `n` = number of matches.
     */
   def countSql(motif: Motif, table: String = "pairs"): String = {
     val joins = motif.edges.zipWithIndex.map { case (_, i) => s"$table e$i" }.mkString(", ")

@@ -21,6 +21,7 @@ object TopKSearch {
       k: Int
   ): Seq[InstanceRow] = {
     import spark.implicits._
+    LocalEnumerator.requireDelta(delta)
     FlowMotifSearch
       .matchRows(spark, edges, motif)
       .flatMap { mr =>
@@ -43,6 +44,7 @@ object TopKSearch {
       delta: Long
   ): Double = {
     import spark.implicits._
+    LocalEnumerator.requireDelta(delta)
     val flows: Dataset[Double] = FlowMotifSearch
       .matchRows(spark, edges, motif)
       .map(mr => MaxFlowDP.maxFlow(mr.series.map(_.toIndexedSeq).toIndexedSeq, delta))

@@ -208,6 +208,10 @@ object InteractionGen {
   def passengerLike(spark: SparkSession, sf: Double = 1.0, seed: Long = 44): DataFrame =
     generate(spark, passengerConfig(sf, seed))
 
+  /** The three networks: the name [[byName]] takes, and the label tables print. */
+  val labels: Seq[(String, String)] =
+    Seq("bitcoin" -> "Bitcoin-like", "facebook" -> "Facebook-like", "passenger" -> "Passenger-like")
+
   /** The synthetic network named on a job's command line. */
   def byName(spark: SparkSession, name: String, sf: Double): DataFrame = name match {
     case "bitcoin"   => bitcoinLike(spark, sf)

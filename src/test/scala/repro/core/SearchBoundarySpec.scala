@@ -1,0 +1,96 @@
+package repro.core
+
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types._
+import repro.{SparkSpec, TestGraphs}
+import repro.stats.Significance
+
+/** What every search entry point promises at its boundary: bad input fails
+  * fast with a message naming the column and the value, results do not
+  * depend on partitioning or input order, and nothing stays cached.
+  */
+class SearchBoundarySpec extends SparkSpec {
+
+  private val motif = MotifCatalog.M32
+
+  /** Each entry point, as a call on `(edges, δ)`. */
+  private val entryPoints: Seq[(String, (DataFrame, Long) => Any)] = Seq(
+    "instances" -> ((e, d) => FlowMotifSearch.instances(spark, e, motif, d, 1.0).count()),
+    "countInstances" -> ((e, d) => FlowMotifSearch.countInstances(spark, e, motif, d, 1.0)),
+    "topK" -> ((e, d) => TopKSearch.topK(spark, e, motif, d, 3)),
+    "maxFlowDP" -> ((e, d) => TopKSearch.maxFlowDP(spark, e, motif, d)),
+    "study" -> ((e, d) => Significance.study(spark, e, motif, d, 1.0, nRandom = 1))
+  )
+
+  private val good = TestGraphs.randomEdges(5, 40, 40, 5, seed = 81)
+
+  private val schema = StructType(Seq(
+    StructField("src", LongType), StructField("dst", LongType),
+    StructField("t", LongType), StructField("f", DoubleType)))
+
+  /** The good edges plus one row `(src, dst, t, f)`, any field possibly null. */
+  private def withRow(bad: Row): DataFrame = {
+    val rows = good.map(e => Row(e.src, e.dst, e.t, e.f)) :+ bad
+    spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
+  }
+
+  for ((name, call) <- entryPoints) {
+    test(s"$name rejects δ < 0 before any Spark job runs") {
+      val group = s"negative-delta-$name"
+      spark.sparkContext.setJobGroup(group, group)
+      try {
+        val e = intercept[IllegalArgumentException](call(TestGraphs.toDf(spark, good), -1L))
+        assert(e.getMessage.contains("delta must be non-negative, got -1"))
+        assert(spark.sparkContext.statusTracker.getJobIdsForGroup(group).isEmpty)
+      } finally spark.sparkContext.clearJobGroup()
+    }
+
+    test(s"$name rejects null columns and flows that are not positive and finite") {
+      val cases = Seq(
+        Row(null, 2L, 5L, 1.0) -> "column src must not be null",
+        Row(1L, null, 5L, 1.0) -> "column dst must not be null",
+        Row(1L, 2L, null, 1.0) -> "column t must not be null",
+        Row(1L, 2L, 5L, null) -> "column f must not be null",
+        Row(1L, 2L, 5L, 0.0) -> "column f must be positive and finite, got f=0.0",
+        Row(1L, 2L, 5L, -2.5) -> "column f must be positive and finite, got f=-2.5",
+        Row(1L, 2L, 5L, Double.NaN) -> "column f must be positive and finite, got f=NaN",
+        Row(1L, 2L, 5L, Double.PositiveInfinity) -> "column f must be positive and finite, got f=Infinity")
+      for ((bad, message) <- cases) {
+        val e = intercept[IllegalArgumentException](call(withRow(bad), 10L))
+        assert(e.getMessage.contains(message), s"$bad: ${e.getMessage}")
+      }
+    }
+  }
+
+  test("count, top-k flows and DP top-1 do not depend on shuffle partitions or input order") {
+    val conf = spark.conf
+    val saved = conf.get("spark.sql.shuffle.partitions")
+    def answers(edges: Seq[TestGraphs.Edge], partitions: Int, m: Motif) = {
+      conf.set("spark.sql.shuffle.partitions", partitions.toLong)
+      val df = TestGraphs.toDf(spark, edges)
+      (FlowMotifSearch.countInstances(spark, df, m, 12, 2.0),
+       TopKSearch.topK(spark, df, m, 12, 5).map(_.flow),
+       TopKSearch.maxFlowDP(spark, df, m, 12))
+    }
+    try {
+      for ((m, seed) <- Seq(MotifCatalog.M32 -> 91L, MotifCatalog.M33 -> 92L, MotifCatalog.M44B -> 93L)) {
+        val edges = TestGraphs.randomEdges(5, 60, 40, 5, seed)
+        val shuffled = new scala.util.Random(seed).shuffle(edges)
+        val expected = answers(edges, 64, m)
+        assert(expected._1 > 0, s"${m.name}: fixture should have instances")
+        for ((es, p) <- Seq(edges -> 1, shuffled -> 1, shuffled -> 64))
+          assert(answers(es, p, m) == expected, s"${m.name} with $p partitions")
+      }
+    } finally conf.set("spark.sql.shuffle.partitions", saved)
+  }
+
+  test("countInstances, topK, maxFlowDP and study leave nothing cached") {
+    val df = TestGraphs.toDf(spark, good)
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    FlowMotifSearch.countInstances(spark, df, motif, 10, 1.0)
+    TopKSearch.topK(spark, df, motif, 10, 3)
+    TopKSearch.maxFlowDP(spark, df, motif, 10)
+    Significance.study(spark, df, motif, 10, 1.0, nRandom = 1)
+    assert(spark.sparkContext.getPersistentRDDs.keySet == before)
+  }
+}
