@@ -8,7 +8,7 @@ import org.apache.spark.sql.SparkSession
   */
 object JobSession {
   def create(appName: String): SparkSession = {
-    val builder = SparkSession.builder.appName(appName)
+    val builder = SparkSession.builder().appName(appName)
     if (sys.props.contains("spark.master")) builder.getOrCreate()
     else builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).getOrCreate()
   }

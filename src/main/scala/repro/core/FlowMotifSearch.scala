@@ -1,7 +1,8 @@
 package repro.core
 
+import scala.reflect.ClassTag
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Dataset, Row, SparkSession}
-import org.apache.spark.sql.functions._
 
 /** A structural match bundled with its per-motif-edge time series, the unit of
   * work for phase P2. `vs(i)` is the graph vertex mapped to motif vertex `i`;
@@ -10,7 +11,7 @@ import org.apache.spark.sql.functions._
 final case class MatchRow(vs: Seq[Long], series: Seq[Seq[TF]])
 
 /** A flow motif instance as a Spark row: the vertex mapping, its flow
-  * (Equation 1), its temporal extent, and (optionally) its edge-sets.
+  * (Equation 1), its temporal extent, and its edge-sets.
   */
 final case class InstanceRow(
     vs: Seq[Long],
@@ -23,55 +24,58 @@ final case class InstanceRow(
 /** The paper's two-phase flow motif search, distributed:
   * P1 = [[StructuralMatcher]] (the spanning-path DFS over a broadcast `G_T`
   * index, which hands each match over with its per-edge series);
-  * P2 = [[LocalEnumerator]] (Algorithm 1) run per structural match inside a
-  * typed `flatMap`.
+  * P2 = [[LocalEnumerator]] (Algorithm 1), run on each match inside the
+  * walk's own task by [[perMatch]], the one driver behind every search.
   */
 object FlowMotifSearch {
 
-  /** Phase P1: one [[MatchRow]] per structural match. `G_T` is built by one
-    * groupBy and collected into the DFS's index; every row is checked on the
-    * way, so a null column, or a flow that is not positive and finite, fails
-    * here with the column and its value.
+  /** Phases P1 and P2: `p2(vs, series)` for each structural match, in the task
+    * that found it. `vs` is reused between matches, so `p2` must copy what it
+    * keeps. `G_T` is built by one groupBy and collected into the DFS's index;
+    * every row is checked on the way, so a null column, or a flow that is not
+    * positive and finite, fails here with the column and its value.
     */
-  def matchRows(spark: SparkSession, edges: DataFrame, motif: Motif): Dataset[MatchRow] = {
-    import spark.implicits._
-    val rows = StructuralMatcher.search(TimeSeriesGraph.build(edges), motif)(checkedSeries)(
-      (vs, series) => MatchRow(vs.toSeq, series.toSeq))
-    spark.createDataset(rows)
-  }
+  private[core] def perMatch[R: ClassTag](edges: DataFrame, motif: Motif)(
+      p2: (Array[Long], IndexedSeq[IndexedSeq[TF]]) => R
+  ): RDD[R] =
+    StructuralMatcher.search(TimeSeriesGraph.build(edges), motif)(checkedSeries)(
+      (vs, series) => p2(vs, series.toIndexedSeq))
 
-  private def checkedSeries(r: Row): Seq[TF] = r.getSeq[Row](r.fieldIndex("series")).map { e =>
+  private def checkedSeries(r: Row): IndexedSeq[TF] = r.getSeq[Row](r.fieldIndex("series")).iterator.map { e =>
     for (c <- Seq("t", "f"))
       require(!e.isNullAt(e.fieldIndex(c)),
         s"column $c must not be null, got $c=null on edge (${r.getAs[Long]("src")}, ${r.getAs[Long]("dst")})")
     val x = TF(e.getAs[Long]("t"), e.getAs[Double]("f"))
     Series.requireFlow(x)
     x
+  }.toIndexedSeq
+
+  private[core] def instanceRow(vs: Seq[Long], inst: LocalInstance): InstanceRow =
+    InstanceRow(vs, inst.flow, inst.tStart, inst.tEnd, inst.sets)
+
+  /** Phase P1 alone: one [[MatchRow]] per structural match. */
+  def matchRows(spark: SparkSession, edges: DataFrame, motif: Motif): Dataset[MatchRow] = {
+    import spark.implicits._
+    spark.createDataset(perMatch(edges, motif)((vs, series) => MatchRow(vs.toSeq, series)))
   }
 
   /** All maximal instances of `(motif, δ, φ)` in the interaction network.
     *
-    * @param edges          interaction multigraph: (src, dst, t, f)
-    * @param materializeSets when false, `sets` is left empty in the output to
-    *                        avoid shuffling edge-set payloads in count-only runs
+    * @param edges interaction multigraph: (src, dst, t, f)
     */
   def instances(
       spark: SparkSession,
       edges: DataFrame,
       motif: Motif,
       delta: Long,
-      phi: Double,
-      materializeSets: Boolean = true
+      phi: Double
   ): Dataset[InstanceRow] = {
     import spark.implicits._
     LocalEnumerator.requireDelta(delta)
-    matchRows(spark, edges, motif).flatMap { mr =>
-      val series = mr.series.map(_.toIndexedSeq).toIndexedSeq
-      LocalEnumerator.enumerate(series, delta, phi).map { inst =>
-        InstanceRow(mr.vs, inst.flow, inst.tStart, inst.tEnd,
-          if (materializeSets) inst.sets else Seq.empty)
-      }
-    }
+    spark.createDataset(perMatch(edges, motif) { (vs, series) =>
+      val v = vs.toSeq
+      LocalEnumerator.enumerate(series, delta, phi).map(instanceRow(v, _))
+    }.flatMap(identity))
   }
 
   /** Number of maximal instances (count-only fast path). */
@@ -82,10 +86,7 @@ object FlowMotifSearch {
       delta: Long,
       phi: Double
   ): Long = {
-    import spark.implicits._
     LocalEnumerator.requireDelta(delta)
-    val counts = matchRows(spark, edges, motif)
-      .map(mr => LocalEnumerator.count(mr.series.map(_.toIndexedSeq).toIndexedSeq, delta, phi))
-    counts.toDF("n").agg(coalesce(sum("n"), lit(0L)).as("total")).head.getLong(0)
+    perMatch(edges, motif)((_, series) => LocalEnumerator.count(series, delta, phi)).fold(0L)(_ + _)
   }
 }

@@ -25,8 +25,14 @@ object MaxFlowDP {
       seriesIn: IndexedSeq[IndexedSeq[TF]],
       windowStart: Long,
       windowEnd: Long
+  ): (Vector[Long], Vector[Vector[Double]]) = sortedTable(Series.normalize(seriesIn), windowStart, windowEnd)
+
+  /** [[dpTable]] over series that are already normalized. */
+  private def sortedTable(
+      series: IndexedSeq[IndexedSeq[TF]],
+      windowStart: Long,
+      windowEnd: Long
   ): (Vector[Long], Vector[Vector[Double]]) = {
-    val series = Series.normalize(seriesIn)
     val m = series.length
     val ts = series.flatten
       .collect { case TF(t, _) if t >= windowStart && t <= windowEnd => t }
@@ -71,20 +77,21 @@ object MaxFlowDP {
       series: IndexedSeq[IndexedSeq[TF]],
       windowStart: Long,
       windowEnd: Long
-  ): Double = {
-    val (ts, table) = dpTable(series, windowStart, windowEnd)
-    if (ts.isEmpty) 0.0 else table.last.last
-  }
+  ): Double = lastCell(dpTable(series, windowStart, windowEnd))
+
+  private def lastCell(t: (Vector[Long], Vector[Vector[Double]])): Double =
+    if (t._1.isEmpty) 0.0 else t._2.last.last
 
   /** Top-1 instance flow over the whole structural match: Algorithm 2 applied
     * to every window [[LocalEnumerator.windows]] keeps. A skipped window's
     * instances are all dominated by extensions found in an earlier window, and
-    * extensions only gain flow.
+    * extensions only gain flow. The series are checked once, by the window
+    * scan, not once per window.
     */
   def maxFlow(seriesIn: IndexedSeq[IndexedSeq[TF]], delta: Long): Double = {
     var best = 0.0
     LocalEnumerator.windows(seriesIn, delta) { (series, a, windowEnd) =>
-      best = math.max(best, windowMaxFlow(series, series.head(a).t, windowEnd))
+      best = math.max(best, lastCell(sortedTable(series, series.head(a).t, windowEnd)))
     }
     best
   }

@@ -17,7 +17,7 @@ object TopKEnumerator {
       delta: Long,
       k: Int
   ): Vector[LocalInstance] = {
-    require(k >= 1, "k must be >= 1")
+    requireK(k)
     // Min-heap on instance flow: head is the k-th best so far.
     val heap = mutable.PriorityQueue.empty(Ordering.by[LocalInstance, Double](_.flow).reverse)
     def threshold: Double = if (heap.size >= k) heap.head.flow else Double.NegativeInfinity
@@ -28,4 +28,9 @@ object TopKEnumerator {
     }
     heap.dequeueAll.toVector.sortBy((i: LocalInstance) => -i.flow)
   }
+
+  /** The one check on k, made by the kernel and, before any Spark job, by
+    * [[TopKSearch.topK]].
+    */
+  def requireK(k: Int): Unit = require(k >= 1, s"k must be >= 1, got $k")
 }

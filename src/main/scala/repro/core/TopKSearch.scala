@@ -1,14 +1,14 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Distributed top-k flow motif search (Section 5) and the DP-based top-1
   * variant (Section 5.1).
   *
   * Each structural match computes its local top-k with the floating-threshold
-  * enumerator (or its top-1 flow with the DP module); the global answer is the
-  * k best of those candidates — a standard per-group top-k followed by a tiny
-  * global merge, so only O(k · |S|) candidate rows are shuffled.
+  * enumerator (or its top-1 flow with the DP module) in the task that found
+  * it; each task keeps its k best candidates and the driver merges them, so
+  * nothing is shuffled.
   */
 object TopKSearch {
 
@@ -20,20 +20,12 @@ object TopKSearch {
       delta: Long,
       k: Int
   ): Seq[InstanceRow] = {
-    import spark.implicits._
     LocalEnumerator.requireDelta(delta)
-    FlowMotifSearch
-      .matchRows(spark, edges, motif)
-      .flatMap { mr =>
-        val series = mr.series.map(_.toIndexedSeq).toIndexedSeq
-        TopKEnumerator.topK(series, delta, k).map { inst =>
-          InstanceRow(mr.vs, inst.flow, inst.tStart, inst.tEnd, inst.sets)
-        }
-      }
-      .orderBy($"flow".desc)
-      .limit(k)
-      .collect()
-      .toSeq
+    TopKEnumerator.requireK(k)
+    FlowMotifSearch.perMatch(edges, motif) { (vs, series) =>
+      val v = vs.toSeq
+      TopKEnumerator.topK(series, delta, k).map(FlowMotifSearch.instanceRow(v, _))
+    }.flatMap(identity).top(k)(Ordering.by(_.flow)).toSeq
   }
 
   /** Top-1 instance flow via the dynamic-programming module (Algorithm 2). */
@@ -43,12 +35,7 @@ object TopKSearch {
       motif: Motif,
       delta: Long
   ): Double = {
-    import spark.implicits._
     LocalEnumerator.requireDelta(delta)
-    val flows: Dataset[Double] = FlowMotifSearch
-      .matchRows(spark, edges, motif)
-      .map(mr => MaxFlowDP.maxFlow(mr.series.map(_.toIndexedSeq).toIndexedSeq, delta))
-    import org.apache.spark.sql.functions._
-    flows.toDF("mf").agg(coalesce(max("mf"), lit(0.0)).as("best")).head.getDouble(0)
+    FlowMotifSearch.perMatch(edges, motif)((_, series) => MaxFlowDP.maxFlow(series, delta)).fold(0.0)(math.max)
   }
 }

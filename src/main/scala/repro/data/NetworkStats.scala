@@ -16,21 +16,8 @@ object NetworkStats {
     val row = edges.agg(
       count(lit(1)).as("edges"),
       avg(col("f")).as("avgFlow")
-    ).head
+    ).head()
     val pairs = edges.select(col("src"), col("dst")).distinct().count()
     Stats(nodes, pairs, row.getLong(0), row.getDouble(1))
-  }
-
-  /** Single-row DataFrame with the Table 3 columns, for the DuckDB oracle. */
-  def statsDf(edges: DataFrame): DataFrame = {
-    val nodes = edges.select(col("src").as("v"))
-      .unionByName(edges.select(col("dst").as("v")))
-      .agg(countDistinct(col("v")).as("nodes"))
-    val pairsAndEdges = edges.agg(
-      countDistinct(col("src"), col("dst")).as("connected_pairs"),
-      count(lit(1)).as("edges"),
-      round(avg(col("f")), 6).as("avg_flow")
-    )
-    nodes.crossJoin(pairsAndEdges)
   }
 }

@@ -44,6 +44,7 @@ object Significance {
       nRandom: Int,
       seed: Long = 7L
   ): MotifSignificance = {
+    require(nRandom >= 1, s"nRandom must be >= 1, got $nRandom")
     val real = FlowMotifSearch.countInstances(spark, edges, motif, delta, phi)
     val randomCounts = (0 until nRandom).map { r =>
       val permuted = Randomizer.permuteFlows(edges, seed + r)

@@ -74,17 +74,6 @@ class FlowMotifSearchSpec extends SparkSpec {
     assert(counts.last == 0)
   }
 
-  test("materializeSets=false leaves sets empty but keeps count and flows") {
-    val edges = TestGraphs.randomEdges(4, 40, 40, 5, seed = 21)
-    val df = TestGraphs.toDf(spark, edges)
-    val full = FlowMotifSearch.instances(spark, df, MotifCatalog.M32, 12, 0.0).collect()
-    val slim = FlowMotifSearch.instances(spark, df, MotifCatalog.M32, 12, 0.0,
-      materializeSets = false).collect()
-    assert(slim.length == full.length)
-    assert(slim.forall(_.sets.isEmpty))
-    assert(slim.map(_.flow).sorted.toSeq == full.map(_.flow).sorted.toSeq)
-  }
-
   test("searching an empty graph returns nothing") {
     val df = TestGraphs.toDf(spark, Vector.empty[TestGraphs.Edge])
     assert(FlowMotifSearch.countInstances(spark, df, MotifCatalog.M32, 10, 0.0) == 0)

@@ -34,15 +34,21 @@ class SearchBoundarySpec extends SparkSpec {
     spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
   }
 
+  /** `call` fails with `message` and runs no Spark job on the way. */
+  private def rejectedBeforeAnyJob(group: String, message: String)(call: => Any): Unit = {
+    spark.sparkContext.setJobGroup(group, group)
+    try {
+      val e = intercept[IllegalArgumentException](call)
+      assert(e.getMessage.contains(message), e.getMessage)
+      assert(spark.sparkContext.statusTracker.getJobIdsForGroup(group).isEmpty)
+    } finally spark.sparkContext.clearJobGroup()
+  }
+
   for ((name, call) <- entryPoints) {
     test(s"$name rejects δ < 0 before any Spark job runs") {
-      val group = s"negative-delta-$name"
-      spark.sparkContext.setJobGroup(group, group)
-      try {
-        val e = intercept[IllegalArgumentException](call(TestGraphs.toDf(spark, good), -1L))
-        assert(e.getMessage.contains("delta must be non-negative, got -1"))
-        assert(spark.sparkContext.statusTracker.getJobIdsForGroup(group).isEmpty)
-      } finally spark.sparkContext.clearJobGroup()
+      rejectedBeforeAnyJob(s"negative-delta-$name", "delta must be non-negative, got -1") {
+        call(TestGraphs.toDf(spark, good), -1L)
+      }
     }
 
     test(s"$name rejects null columns and flows that are not positive and finite") {
@@ -59,6 +65,18 @@ class SearchBoundarySpec extends SparkSpec {
         val e = intercept[IllegalArgumentException](call(withRow(bad), 10L))
         assert(e.getMessage.contains(message), s"$bad: ${e.getMessage}")
       }
+    }
+  }
+
+  test("topK rejects k < 1 before any Spark job runs") {
+    rejectedBeforeAnyJob("k-zero", "k must be >= 1, got 0") {
+      TopKSearch.topK(spark, TestGraphs.toDf(spark, good), motif, 10L, 0)
+    }
+  }
+
+  test("study rejects nRandom < 1 before any Spark job runs") {
+    rejectedBeforeAnyJob("no-randomizations", "nRandom must be >= 1, got 0") {
+      Significance.study(spark, TestGraphs.toDf(spark, good), motif, 10L, 1.0, nRandom = 0)
     }
   }
 
