@@ -2,7 +2,7 @@ package repro.core
 
 import scala.reflect.ClassTag
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Dataset, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 
 /** A structural match bundled with its per-motif-edge time series, the unit of
   * work for phase P2. `vs(i)` is the graph vertex mapped to motif vertex `i`;
@@ -31,24 +31,33 @@ object FlowMotifSearch {
 
   /** Phases P1 and P2: `p2(vs, series)` for each structural match, in the task
     * that found it. `vs` is reused between matches, so `p2` must copy what it
-    * keeps. `G_T` is built by one groupBy and collected into the DFS's index;
-    * every row is checked on the way, so a null column, or a flow that is not
-    * positive and finite, fails here with the column and its value.
+    * keeps. The DFS's index `src → [(dst, R(src, dst))]` is `G_T`, built on the
+    * driver from one flat collect of the edges, with no shuffle. Every row,
+    * self-loops included, is checked on the way, so a null column, or a flow
+    * that is not positive and finite, fails here with the column and its value.
     */
   private[core] def perMatch[R: ClassTag](edges: DataFrame, motif: Motif)(
       p2: (Array[Long], IndexedSeq[IndexedSeq[TF]]) => R
   ): RDD[R] =
-    StructuralMatcher.search(TimeSeriesGraph.build(edges), motif)(checkedSeries)(
+    StructuralMatcher.search(edges.sparkSession.sparkContext, seriesIndex(edges), motif)(
       (vs, series) => p2(vs, series.toIndexedSeq))
 
-  private def checkedSeries(r: Row): IndexedSeq[TF] = r.getSeq[Row](r.fieldIndex("series")).iterator.map { e =>
-    for (c <- Seq("t", "f"))
-      require(!e.isNullAt(e.fieldIndex(c)),
-        s"column $c must not be null, got $c=null on edge (${r.getAs[Long]("src")}, ${r.getAs[Long]("dst")})")
-    val x = TF(e.getAs[Long]("t"), e.getAs[Double]("f"))
-    Series.requireFlow(x)
-    x
-  }.toIndexedSeq
+  /** `G_T` as `src → [(dst, R(src, dst))]`: self-loops dropped, each series
+    * sorted by `(t, f)`, the order `TimeSeriesGraph.build`'s `sort_array` gives.
+    */
+  private def seriesIndex(edges: DataFrame): Map[Long, Array[(Long, IndexedSeq[TF])]] = {
+    val checked = edges.select("src", "dst", "t", "f").collect().map { r =>
+      val (s, d) = (StructuralMatcher.vertex(r, "src"), StructuralMatcher.vertex(r, "dst"))
+      for (c <- Seq("t", "f"))
+        require(!r.isNullAt(r.fieldIndex(c)), s"column $c must not be null, got $c=null on edge ($s, $d)")
+      val x = TF(r.getAs[Long]("t"), r.getAs[Double]("f"))
+      Series.requireFlow(x)
+      ((s, d), x)
+    }
+    checked.filter { case ((s, d), _) => s != d }.groupMap(_._1)(_._2).toArray.groupMap(_._1._1) {
+      case ((_, d), xs) => (d, xs.sortWith((a, b) => a.t < b.t || a.t == b.t && a.f < b.f).toIndexedSeq)
+    }
+  }
 
   private[core] def instanceRow(vs: Seq[Long], inst: LocalInstance): InstanceRow =
     InstanceRow(vs, inst.flow, inst.tStart, inst.tEnd, inst.sets)

@@ -2,6 +2,7 @@ package repro.core
 
 import scala.collection.mutable.ArrayBuffer
 import scala.reflect.ClassTag
+import org.apache.spark.SparkContext
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
@@ -9,10 +10,10 @@ import org.apache.spark.sql.types.{LongType, StructField, StructType}
 /** Phase P1 (Section 4): find every structural match of a motif's spanning
   * path in the time-series graph, disregarding timestamps, δ and φ.
   *
-  * This is the paper's modified DFS. The `G_T`-shaped table is collected on
-  * the driver into an adjacency index `src → [(dst, payload)]`, which is
-  * broadcast; each executor walks the spanning path from its share of the
-  * start vertices. The walk binds a motif vertex on its first visit to any
+  * This is the paper's modified DFS over an adjacency index
+  * `src → [(dst, payload)]` that the caller builds on the driver; the index
+  * is broadcast and each executor walks the spanning path from its share of
+  * the start vertices. The walk binds a motif vertex on its first visit to any
   * out-neighbour not bound yet (the vertex bijection), and on a revisit
   * (cycle closure) follows only the edge to the vertex already bound. The
   * payload of each traversed edge rides along, so phase P2 gets each match
@@ -29,27 +30,21 @@ object StructuralMatcher {
     * @param pairs distinct `(src, dst)` pairs of `G_T` (see [[TimeSeriesGraph.pairs]])
     */
   def matches(pairs: DataFrame, motif: Motif): DataFrame = {
-    val rows = search(pairs.select("src", "dst"), motif)(_ => ())((vs, _) => Row.fromSeq(vs.toSeq))
+    val index = pairs.select("src", "dst").collect().groupMap(vertex(_, "src"))(r => (vertex(r, "dst"), ()))
+    val rows = search(pairs.sparkSession.sparkContext, index, motif)((vs, _) => Row.fromSeq(vs.toSeq))
     val schema = StructType(motif.vertexIds.map(i => StructField(vcol(i), LongType, nullable = false)))
     pairs.sparkSession.createDataFrame(rows, schema)
   }
 
-  /** Every structural match of `motif` over `table` (columns `src`, `dst`,
-    * anything else `payload` reads), one `out(vs, payloads)` per match:
-    * `vs(i)` is the graph vertex bound to motif vertex `i`, `payloads(i)` is
-    * `payload` of the row motif edge `i+1` traverses. Both arrays are reused
-    * between calls, so `out` must copy what it keeps.
-    *
-    * `payload` runs on the driver while the index is built, once per row, so
-    * it is where the rows are checked; `src` and `dst` are checked here.
+  /** Every structural match of `motif` over `index` (`src → [(dst, payload)]`),
+    * one `out(vs, payloads)` per match: `vs(i)` is the graph vertex bound to
+    * motif vertex `i`, `payloads(i)` is the payload of the edge motif edge
+    * `i+1` traverses. Both arrays are reused between calls, so `out` must copy
+    * what it keeps.
     */
-  def search[P: ClassTag, R: ClassTag](table: DataFrame, motif: Motif)(payload: Row => P)(
+  def search[P: ClassTag, R: ClassTag](sc: SparkContext, index: Map[Long, Array[(Long, P)]], motif: Motif)(
       out: (Array[Long], Array[P]) => R
   ): RDD[R] = {
-    val sc = table.sparkSession.sparkContext
-    val index = table.collect().groupMap(r => vertex(r, "src")) { r =>
-      (vertex(r, "dst"), payload(r))
-    }
     val adjacency = sc.broadcast(index)
     val starts = index.keys.toVector.sorted
     sc.parallelize(starts, sc.defaultParallelism).mapPartitions { it =>
@@ -63,7 +58,8 @@ object StructuralMatcher {
     }
   }
 
-  private def vertex(r: Row, column: String): Long = {
+  /** Column `column` of `r` as a vertex id; a null fails with the column's name. */
+  private[core] def vertex(r: Row, column: String): Long = {
     val i = r.fieldIndex(column)
     require(!r.isNullAt(i), s"column $column must not be null, got $column=null")
     r.getLong(i)

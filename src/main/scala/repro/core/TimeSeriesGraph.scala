@@ -14,12 +14,11 @@ object TimeSeriesGraph {
 
   /** `(src, dst, series: array<struct<t, f>>)`, series sorted by timestamp.
     * Self-loop interactions are dropped: motif vertices are distinct, so no
-    * motif edge can ever be instantiated by a self-loop. Rows with a null
-    * `src` or `dst` are kept, so that the search's boundary check sees them.
+    * motif edge can ever be instantiated by a self-loop.
     */
   def build(edges: DataFrame): DataFrame =
     edges
-      .where(coalesce(col("src") =!= col("dst"), lit(true)))
+      .where(col("src") =!= col("dst"))
       .groupBy(col("src"), col("dst"))
       .agg(sort_array(collect_list(struct(col("t"), col("f")))).as("series"))
 

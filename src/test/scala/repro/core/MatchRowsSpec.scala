@@ -41,6 +41,26 @@ class MatchRowsSpec extends SparkSpec {
     }
   }
 
+  test("every series is in TimeSeriesGraph.build's (t, f) order, duplicate timestamps included") {
+    // Pairs carry repeated timestamps with distinct flows, fed in descending-flow order.
+    val edges = for {
+      (s, d) <- Vector((1L, 2L), (2L, 3L), (3L, 1L), (2L, 1L))
+      t <- Seq(9L, 4L)
+      f <- Seq(3.0, 2.0, 1.0)
+    } yield TestGraphs.Edge(s, d, t + s, f * d)
+    val df = spark.createDataFrame(spark.sparkContext.parallelize(edges, 3))
+    val gt = TimeSeriesGraph.build(df).collect().map { r =>
+      (r.getLong(0), r.getLong(1)) -> r.getSeq[org.apache.spark.sql.Row](2).map(e => TF(e.getLong(0), e.getDouble(1)))
+    }.toMap
+    for (motif <- Seq(MotifCatalog.M32, MotifCatalog.M33)) {
+      val rows = FlowMotifSearch.matchRows(spark, df, motif).collect()
+      assert(rows.nonEmpty, s"${motif.name}: fixture should have matches")
+      for (r <- rows; i <- 0 until motif.m)
+        assert(r.series(i) == gt((r.vs(motif.path(i)), r.vs(motif.path(i + 1)))),
+          s"${motif.name}: series($i) of ${r.vs} is not in build's order")
+    }
+  }
+
   test("empty input has no match rows") {
     for (motif <- MotifCatalog.all) assert(rowsOf(Vector.empty, motif).isEmpty)
   }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.JobExecutionStatus
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types._
 import repro.{SparkSpec, TestGraphs}
@@ -66,6 +67,17 @@ class SearchBoundarySpec extends SparkSpec {
         assert(e.getMessage.contains(message), s"$bad: ${e.getMessage}")
       }
     }
+
+    test(s"$name checks self-loop rows before dropping them") {
+      val cases = Seq(
+        Row(3L, 3L, 5L, -1.0) -> "column f must be positive and finite, got f=-1.0",
+        Row(3L, 3L, null, 1.0) -> "column t must not be null, got t=null on edge (3, 3)",
+        Row(3L, 3L, 5L, null) -> "column f must not be null, got f=null on edge (3, 3)")
+      for ((bad, message) <- cases) {
+        val e = intercept[IllegalArgumentException](call(withRow(bad), 10L))
+        assert(e.getMessage.contains(message), s"$bad: ${e.getMessage}")
+      }
+    }
   }
 
   test("topK rejects k < 1 before any Spark job runs") {
@@ -100,6 +112,30 @@ class SearchBoundarySpec extends SparkSpec {
           assert(answers(es, p, m) == expected, s"${m.name} with $p partitions")
       }
     } finally conf.set("spark.sql.shuffle.partitions", saved)
+  }
+
+  test("countInstances, topK and maxFlowDP run only single-stage jobs (no shuffle)") {
+    val sc = spark.sparkContext
+    val group = "no-shuffle"
+    val df = spark.createDataFrame(sc.parallelize(good, 2))
+    sc.setJobGroup(group, group)
+    try {
+      FlowMotifSearch.countInstances(spark, df, motif, 10, 1.0)
+      TopKSearch.topK(spark, df, motif, 10, 3)
+      TopKSearch.maxFlowDP(spark, df, motif, 10)
+    } finally sc.clearJobGroup()
+    // Job status reaches the tracker asynchronously: wait until every job of
+    // the group, and at least the three walks, reports as succeeded.
+    def succeeded = {
+      val ids = sc.statusTracker.getJobIdsForGroup(group)
+      val infos = ids.toSeq.flatMap(sc.statusTracker.getJobInfo).filter(_.status == JobExecutionStatus.SUCCEEDED)
+      if (infos.length == ids.length) infos else Nil
+    }
+    val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
+    while (succeeded.length < 3 && System.nanoTime() < deadline) Thread.sleep(20)
+    val jobs = succeeded
+    assert(jobs.length >= 3, s"jobs of the group not all finished: ${sc.statusTracker.getJobIdsForGroup(group).toSeq}")
+    for (j <- jobs) assert(j.stageIds.length == 1, s"job ${j.jobId} has stages ${j.stageIds.toSeq}")
   }
 
   test("countInstances, topK, maxFlowDP and study leave nothing cached") {
