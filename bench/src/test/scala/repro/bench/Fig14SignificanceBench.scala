@@ -15,7 +15,7 @@ class Fig14SignificanceBench extends BenchBase {
     if (name.startsWith("Passenger")) Seq(MotifCatalog.M32, MotifCatalog.M43, MotifCatalog.M54)
     else Seq(MotifCatalog.M32, MotifCatalog.M33, MotifCatalog.M43, MotifCatalog.M44A)
 
-  private val nRandom = 5
+  private val nRandom = 20
 
   test("Figure 14: significance of motifs vs flow-permuted randomizations") {
     banner(s"FIGURE 14 — real vs $nRandom flow-permuted randomizations")

@@ -1,8 +1,10 @@
 package repro.core
 
 import scala.reflect.ClassTag
+import org.apache.spark.SparkContext
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Dataset, Row, SparkSession}
+import org.apache.spark.sql.functions.col
 
 /** A structural match bundled with its per-motif-edge time series, the unit of
   * work for phase P2. `vs(i)` is the graph vertex mapped to motif vertex `i`;
@@ -31,33 +33,49 @@ object FlowMotifSearch {
 
   /** Phases P1 and P2: `p2(vs, series)` for each structural match, in the task
     * that found it. `vs` is reused between matches, so `p2` must copy what it
-    * keeps. The DFS's index `src → [(dst, R(src, dst))]` is `G_T`, built on the
-    * driver from one flat collect of the edges, with no shuffle. Every row,
-    * self-loops included, is checked on the way, so a null column, or a flow
-    * that is not positive and finite, fails here with the column and its value.
+    * keeps. The one-vector case of [[perMatchUnder]], over the edges' own flows.
     */
   private[core] def perMatch[R: ClassTag](edges: DataFrame, motif: Motif)(
       p2: (Array[Long], IndexedSeq[IndexedSeq[TF]]) => R
-  ): RDD[R] =
-    StructuralMatcher.search(edges.sparkSession.sparkContext, seriesIndex(edges), motif)(
-      (vs, series) => p2(vs, series.toIndexedSeq))
+  ): RDD[R] = {
+    val rows = checkedRows(edges)
+    perMatchUnder(edges.sparkSession.sparkContext, rows, Vector(rows.map(_.getDouble(3))), motif)(
+      (vs, series) => p2(vs, series.head))
+  }
 
-  /** `G_T` as `src → [(dst, R(src, dst))]`: self-loops dropped, each series
-    * sorted by `(t, f)`, the order `TimeSeriesGraph.build`'s `sort_array` gives.
+  /** Phases P1 and P2 under several flow vectors at once (`flows(j)(i)` is the
+    * flow of `rows(i)` in vector j): P1 runs once, and `p2(vs, series)` gets
+    * `series(j)`, the match's per-edge series under vector j. The DFS's index
+    * `src → [(dst, series)]` is `G_T`, built on the driver with no shuffle:
+    * self-loops dropped, series j sorted by `(t, flows(j))`, the order
+    * `TimeSeriesGraph.build`'s `sort_array` gives on the graph with those flows.
     */
-  private def seriesIndex(edges: DataFrame): Map[Long, Array[(Long, IndexedSeq[TF])]] = {
-    val checked = edges.select("src", "dst", "t", "f").collect().map { r =>
+  private[repro] def perMatchUnder[R: ClassTag](
+      sc: SparkContext, rows: Array[Row], flows: IndexedSeq[Array[Double]], motif: Motif
+  )(p2: (Array[Long], IndexedSeq[IndexedSeq[IndexedSeq[TF]]]) => R): RDD[R] = {
+    // Each payload is an array: the broadcast serializes it faster than a collection.
+    val fs = flows.toArray
+    val index = Array.range(0, rows.length).filter(i => rows(i).getLong(0) != rows(i).getLong(1))
+      .groupBy(i => (rows(i).getLong(0), rows(i).getLong(1))).toArray.groupMap(_._1._1) { case ((_, d), ids) =>
+        (d, fs.map(f => ids.map(i => TF(rows(i).getLong(2), f(i)))
+          .sortWith((a, b) => a.t < b.t || a.t == b.t && a.f < b.f).toIndexedSeq))
+      }
+    StructuralMatcher.search(sc, index, motif)((vs, ps) => p2(vs, ps.transpose.toIndexedSeq.map(_.toIndexedSeq)))
+  }
+
+  /** The one flat collect every search starts from: columns `src, dst, t, f`,
+    * then `extra`. Every row, self-loops included, is checked as it is read,
+    * so a null column, or a flow that is not positive and finite, fails here
+    * with the column and its value.
+    */
+  private[repro] def checkedRows(edges: DataFrame, extra: Column*): Array[Row] =
+    edges.select(Seq("src", "dst", "t", "f").map(col) ++ extra: _*).collect().map { r =>
       val (s, d) = (StructuralMatcher.vertex(r, "src"), StructuralMatcher.vertex(r, "dst"))
       for (c <- Seq("t", "f"))
         require(!r.isNullAt(r.fieldIndex(c)), s"column $c must not be null, got $c=null on edge ($s, $d)")
-      val x = TF(r.getAs[Long]("t"), r.getAs[Double]("f"))
-      Series.requireFlow(x)
-      ((s, d), x)
+      Series.requireFlow(TF(r.getLong(2), r.getDouble(3)))
+      r
     }
-    checked.filter { case ((s, d), _) => s != d }.groupMap(_._1)(_._2).toArray.groupMap(_._1._1) {
-      case ((_, d), xs) => (d, xs.sortWith((a, b) => a.t < b.t || a.t == b.t && a.f < b.f).toIndexedSeq)
-    }
-  }
 
   private[core] def instanceRow(vs: Seq[Long], inst: LocalInstance): InstanceRow =
     InstanceRow(vs, inst.flow, inst.tStart, inst.tEnd, inst.sets)

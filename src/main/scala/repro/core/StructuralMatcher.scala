@@ -92,27 +92,4 @@ object StructuralMatcher {
     vs(0) = start
     step(0, 1)
   }
-
-  /** The SQL a relational engine would run for the same match set — the
-    * reference the DFS is tested against, with DuckDB over a `pairs` table
-    * with columns (src, dst). Output column `n` = number of matches.
-    */
-  def countSql(motif: Motif, table: String = "pairs"): String = {
-    val joins = motif.edges.zipWithIndex.map { case (_, i) => s"$table e$i" }.mkString(", ")
-    val vertexOf = scala.collection.mutable.Map[Int, String]()
-    val preds = scala.collection.mutable.ArrayBuffer[String]()
-    motif.edges.zipWithIndex.foreach { case ((a, b), i) =>
-      vertexOf.get(a) match {
-        case Some(expr) => preds += s"e$i.src = $expr"
-        case None       => vertexOf(a) = s"e$i.src"
-      }
-      vertexOf.get(b) match {
-        case Some(expr) => preds += s"e$i.dst = $expr"
-        case None       => vertexOf(b) = s"e$i.dst"
-      }
-    }
-    for { i <- motif.vertexIds; j <- motif.vertexIds if i < j }
-      preds += s"${vertexOf(i)} <> ${vertexOf(j)}"
-    s"SELECT count(*) AS n FROM $joins WHERE ${preds.mkString(" AND ")}"
-  }
 }

@@ -1,7 +1,7 @@
 package repro.stats
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{FlowMotifSearch, Motif}
+import repro.core.{FlowMotifSearch, LocalEnumerator, Motif}
 import repro.data.Randomizer
 
 /** Statistical significance of flow motifs (Section 6.3): compare the number
@@ -34,7 +34,11 @@ object Significance {
     (mu, sd, z)
   }
 
-  /** Run the full study for one motif: real count + `nRandom` permuted counts. */
+  /** Run the full study for one motif: real count + `nRandom` permuted counts,
+    * random count r being `countInstances` on `permuteFlows(edges, seed + r)`.
+    * Permutations move only flows, so one collect draws them all and one walk
+    * counts each structural match under every flow vector.
+    */
   def study(
       spark: SparkSession,
       edges: DataFrame,
@@ -45,11 +49,12 @@ object Significance {
       seed: Long = 7L
   ): MotifSignificance = {
     require(nRandom >= 1, s"nRandom must be >= 1, got $nRandom")
-    val real = FlowMotifSearch.countInstances(spark, edges, motif, delta, phi)
-    val randomCounts = (0 until nRandom).map { r =>
-      val permuted = Randomizer.permuteFlows(edges, seed + r)
-      FlowMotifSearch.countInstances(spark, permuted, motif, delta, phi)
-    }
+    LocalEnumerator.requireDelta(delta)
+    val (rows, flows) = Randomizer.flowVectors(edges, seed, nRandom)
+    val counts = FlowMotifSearch.perMatchUnder(spark.sparkContext, rows, flows, motif)(
+      (_, series) => series.map(LocalEnumerator.count(_, delta, phi)).toArray
+    ).fold(new Array[Long](nRandom + 1))((a, b) => a.lazyZip(b).map(_ + _))
+    val (real, randomCounts) = (counts.head, counts.toVector.tail)
     val (mu, sd, z) = zScore(real, randomCounts)
     val p = randomCounts.count(_ >= real).toDouble / nRandom
     MotifSignificance(motif.name, real, randomCounts, mu, sd, z, p)

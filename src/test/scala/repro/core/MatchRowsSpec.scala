@@ -6,7 +6,7 @@ import repro.{Oracle, SparkSpec, TestGraphs}
 /** Phase P1 as the search runs it: every [[MatchRow]] of
   * [[FlowMotifSearch.matchRows]] against ground truth — the per-pair series
   * built from the edge list, the vertex bijection, the brute-force match set,
-  * and DuckDB running [[StructuralMatcher.countSql]].
+  * and DuckDB running [[Oracle.countSql]].
   */
 class MatchRowsSpec extends SparkSpec {
 
@@ -37,7 +37,7 @@ class MatchRowsSpec extends SparkSpec {
 
       val df = TestGraphs.toDf(spark, edges)
       val got = FlowMotifSearch.matchRows(spark, df, motif).agg(count(lit(1)).as("n"))
-      Oracle.assertEquivalent(got, StructuralMatcher.countSql(motif), "pairs" -> TimeSeriesGraph.pairs(df))
+      Oracle.assertEquivalent(got, Oracle.countSql(motif), "pairs" -> TimeSeriesGraph.pairs(df))
     }
   }
 

@@ -1,9 +1,10 @@
 package repro.core
 
-import org.apache.spark.JobExecutionStatus
+import org.apache.spark.{JobExecutionStatus, SparkJobInfo}
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types._
 import repro.{SparkSpec, TestGraphs}
+import repro.data.Randomizer
 import repro.stats.Significance
 
 /** What every search entry point promises at its boundary: bad input fails
@@ -114,28 +115,48 @@ class SearchBoundarySpec extends SparkSpec {
     } finally conf.set("spark.sql.shuffle.partitions", saved)
   }
 
-  test("countInstances, topK and maxFlowDP run only single-stage jobs (no shuffle)") {
+  /** The jobs `body` runs, every one finished. The status tracker hears of
+    * jobs in order, so once a marker job run after `body` reports success,
+    * so has every job of `body`.
+    */
+  private def jobsOf(group: String)(body: => Any): Seq[SparkJobInfo] = {
     val sc = spark.sparkContext
-    val group = "no-shuffle"
-    val df = spark.createDataFrame(sc.parallelize(good, 2))
-    sc.setJobGroup(group, group)
-    try {
+    def run(g: String)(call: => Any): Unit = {
+      sc.setJobGroup(g, g)
+      try call finally sc.clearJobGroup()
+    }
+    def infos(g: String) = sc.statusTracker.getJobIdsForGroup(g).toSeq.flatMap(sc.statusTracker.getJobInfo)
+    run(group)(body)
+    run(s"$group-marker")(sc.parallelize(Seq(1), 1).count())
+    val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
+    while (!infos(s"$group-marker").exists(_.status == JobExecutionStatus.SUCCEEDED) && System.nanoTime() < deadline)
+      Thread.sleep(20)
+    infos(group)
+  }
+
+  test("countInstances, topK, maxFlowDP, study and permuteFlows run only single-stage jobs (no shuffle)") {
+    val df = spark.createDataFrame(spark.sparkContext.parallelize(good, 2))
+    val jobs = jobsOf("no-shuffle") {
       FlowMotifSearch.countInstances(spark, df, motif, 10, 1.0)
       TopKSearch.topK(spark, df, motif, 10, 3)
       TopKSearch.maxFlowDP(spark, df, motif, 10)
-    } finally sc.clearJobGroup()
-    // Job status reaches the tracker asynchronously: wait until every job of
-    // the group, and at least the three walks, reports as succeeded.
-    def succeeded = {
-      val ids = sc.statusTracker.getJobIdsForGroup(group)
-      val infos = ids.toSeq.flatMap(sc.statusTracker.getJobInfo).filter(_.status == JobExecutionStatus.SUCCEEDED)
-      if (infos.length == ids.length) infos else Nil
+      Significance.study(spark, df, motif, 10, 1.0, nRandom = 2)
+      Randomizer.permuteFlows(df, 1).collect()
     }
-    val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
-    while (succeeded.length < 3 && System.nanoTime() < deadline) Thread.sleep(20)
-    val jobs = succeeded
-    assert(jobs.length >= 3, s"jobs of the group not all finished: ${sc.statusTracker.getJobIdsForGroup(group).toSeq}")
-    for (j <- jobs) assert(j.stageIds.length == 1, s"job ${j.jobId} has stages ${j.stageIds.toSeq}")
+    // A collect and a walk per search and per study, one collect for permuteFlows.
+    assert(jobs.length >= 9, s"jobs: ${jobs.map(_.jobId)}")
+    for (j <- jobs) {
+      assert(j.status == JobExecutionStatus.SUCCEEDED, s"job ${j.jobId} is ${j.status}")
+      assert(j.stageIds.length == 1, s"job ${j.jobId} has stages ${j.stageIds.toSeq}")
+    }
+  }
+
+  test("a study runs two Spark jobs, the collect and the walk, whatever R is") {
+    val df = spark.createDataFrame(spark.sparkContext.parallelize(good, 2))
+    for (r <- Seq(1, 5)) {
+      val jobs = jobsOf(s"study-$r")(Significance.study(spark, df, motif, 10, 1.0, nRandom = r))
+      assert(jobs.length == 2, s"R = $r: jobs ${jobs.map(_.jobId)}")
+    }
   }
 
   test("countInstances, topK, maxFlowDP and study leave nothing cached") {

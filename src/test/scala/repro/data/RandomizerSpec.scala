@@ -1,6 +1,8 @@
 package repro.data
 
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
 import repro.{Oracle, SparkSpec, TestGraphs}
 
 /** Flow-permutation randomization (Section 6.3): structure and timestamps are
@@ -8,8 +10,9 @@ import repro.{Oracle, SparkSpec, TestGraphs}
   */
 class RandomizerSpec extends SparkSpec {
 
-  private lazy val edges =
-    TestGraphs.toDf(spark, TestGraphs.randomEdges(6, 120, 100, 9, seed = 61)).cache()
+  private val edgeList = TestGraphs.randomEdges(6, 120, 100, 9, seed = 61)
+
+  private lazy val edges = TestGraphs.toDf(spark, edgeList).cache()
 
   test("(src, dst, t) multiset is unchanged") {
     val perm = Randomizer.permuteFlows(edges, seed = 1)
@@ -59,5 +62,35 @@ class RandomizerSpec extends SparkSpec {
     val a = FlowMotifSearch.countInstances(spark, edges, MotifCatalog.M32, 15, 0.0)
     val b = FlowMotifSearch.countInstances(spark, perm, MotifCatalog.M32, 15, 0.0)
     assert(a == b, "φ=0 instances depend only on structure+time, which are preserved")
+  }
+
+  for (partitions <- Seq(1, 4, 7); cached <- Seq(false, true); seed <- Seq(1L, 1234L)) {
+    test(s"permuteFlows equals the window-join reference row for row " +
+         s"($partitions input partitions, ${if (cached) "cached" else "uncached"}, seed $seed)") {
+      // A parallelized collection gives every evaluation the same rows in the
+      // same partitions, which `rand` needs to repeat itself uncached.
+      val input = spark.createDataFrame(spark.sparkContext.parallelize(edgeList, partitions))
+      if (cached) input.cache()
+      try {
+        def rows(df: DataFrame) = df.orderBy("src", "dst", "t", "f").collect().toSeq
+        assert(rows(Randomizer.permuteFlows(input, seed)) == rows(ReferenceRandomizer.permuteFlows(input, seed)))
+      } finally input.unpersist()
+    }
+  }
+
+  test("permuteFlows checks every row, self-loops included, before permuting") {
+    val schema = StructType(Seq("src", "dst", "t").map(StructField(_, LongType)) :+ StructField("f", DoubleType))
+    val cases = Seq(
+      Row(null, 2L, 5L, 1.0) -> "column src must not be null",
+      Row(1L, 2L, null, 1.0) -> "column t must not be null, got t=null on edge (1, 2)",
+      Row(1L, 2L, 5L, null) -> "column f must not be null, got f=null on edge (1, 2)",
+      Row(3L, 3L, 5L, -1.0) -> "column f must be positive and finite, got f=-1.0",
+      Row(1L, 2L, 5L, Double.NaN) -> "column f must be positive and finite, got f=NaN")
+    for ((bad, message) <- cases) {
+      val rows = edgeList.map(e => Row(e.src, e.dst, e.t, e.f)) :+ bad
+      val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
+      val e = intercept[IllegalArgumentException](Randomizer.permuteFlows(df, 1))
+      assert(e.getMessage.contains(message), s"$bad: ${e.getMessage}")
+    }
   }
 }

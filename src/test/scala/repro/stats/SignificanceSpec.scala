@@ -1,8 +1,9 @@
 package repro.stats
 
+import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, TestGraphs}
-import repro.core.MotifCatalog
-import repro.data.InteractionGen
+import repro.core.{FlowMotifSearch, MotifCatalog}
+import repro.data.{InteractionGen, ReferenceRandomizer}
 
 /** z-score machinery and the Section 6.3 claim: flow-correlated (planted)
   * networks have far more φ-qualifying instances than flow-permuted ones.
@@ -46,5 +47,16 @@ class SignificanceSpec extends SparkSpec {
     val a = Significance.study(spark, edges, MotifCatalog.M32, 15, 3.0, nRandom = 2, seed = 5)
     val b = Significance.study(spark, edges, MotifCatalog.M32, 15, 3.0, nRandom = 2, seed = 5)
     assert(a == b)
+  }
+
+  test("study is the per-graph search: real = countInstances, random r = countInstances on permutation seed + r") {
+    val edges = spark.createDataFrame(spark.sparkContext.parallelize(TestGraphs.randomEdges(6, 150, 100, 9, seed = 72), 3))
+    for (motif <- Seq(MotifCatalog.M32, MotifCatalog.M33, MotifCatalog.M43); seed <- Seq(5L, 1234L)) {
+      def count(df: DataFrame) = FlowMotifSearch.countInstances(spark, df, motif, 15, 6.0)
+      val s = Significance.study(spark, edges, motif, 15, 6.0, nRandom = 3, seed = seed)
+      val expected = (0 until 3).map(r => count(ReferenceRandomizer.permuteFlows(edges, seed + r)))
+      assert(s.real == count(edges) && s.real > 0, s"${motif.name} seed $seed")
+      assert(s.randomCounts == expected, s"${motif.name} seed $seed: ${s.randomCounts} vs $expected")
+    }
   }
 }
