@@ -1,5 +1,6 @@
 package repro.baseline
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core._
@@ -11,13 +12,7 @@ import repro.core._
 final case class Quintuple(src: Long, dst: Long, ts: Long, te: Long, f: Double)
 
 /** A fully-joined motif candidate prior to the maximality filter. */
-final case class BaselineRow(
-    vs: Seq[Long],
-    ts: Seq[Long],
-    te: Seq[Long],
-    fs: Seq[Double],
-    series: Seq[Seq[TF]]
-)
+final case class BaselineRow(vs: Seq[Long], ts: Seq[Long], te: Seq[Long], fs: Seq[Double])
 
 /** The competitor of Section 6.2.1: build motif instances bottom-up by
   * joining interval quintuples.
@@ -25,14 +20,21 @@ final case class BaselineRow(
   * Step 1 generates, per `G_T` edge, every time interval of length ≤ δ (all
   * contiguous runs of the edge's series) with its aggregated flow — the
   * quintuples `(u, v, t_s, t_e, f)`. Step 2 merge-joins them along the
-  * spanning path, one join per motif edge, checking consecutive temporal
-  * ordering, the running duration bound, vertex bindings and (for cyclic
-  * motifs) cycle closure. This materializes every sub-motif instance — the
-  * intermediate blowup the paper blames for the baseline's slowness. A final
-  * filter keeps only maximal instances so the output matches the two-phase
-  * algorithm row-for-row.
+  * spanning path, one join per motif edge after the first, checking
+  * consecutive temporal ordering, the running duration bound, vertex bindings
+  * and (for cyclic motifs) cycle closure. This materializes every sub-motif
+  * instance — the intermediate blowup the paper blames for the baseline's
+  * slowness. A final filter keeps only maximal instances so the output
+  * matches the two-phase algorithm row-for-row.
+  *
+  * `G_T` is the search's own index ([[FlowMotifSearch.index]] over its checked
+  * collect), broadcast once: step 1 reads its pairs and the maximality filter
+  * its series.
   */
 object JoinBaseline {
+
+  private def broadcastGT(edges: DataFrame): Broadcast[FlowMotifSearch.Index] =
+    edges.sparkSession.sparkContext.broadcast(FlowMotifSearch.index(FlowMotifSearch.checkedRows(edges)))
 
   /** All contiguous runs with span ≤ δ and flow ≥ φ, per `G_T` edge. */
   def quintuples(
@@ -41,12 +43,16 @@ object JoinBaseline {
       delta: Long,
       phi: Double
   ): Dataset[Quintuple] = {
+    LocalEnumerator.requireDelta(delta)
+    quintuplesOf(spark, broadcastGT(edges), delta, phi)
+  }
+
+  private def quintuplesOf(spark: SparkSession, gt: Broadcast[FlowMotifSearch.Index], delta: Long, phi: Double) = {
     import spark.implicits._
-    TimeSeriesGraph.build(edges)
-      .toDF("_1", "_2", "_3")
-      .as[(Long, Long, Seq[TF])]
-      .flatMap { case (u, v, seriesRaw) =>
-        val s = seriesRaw.toIndexedSeq
+    val sc = spark.sparkContext
+    spark.createDataset(sc.parallelize(gt.value.keys.toSeq, sc.defaultParallelism).flatMap { u =>
+      gt.value(u).iterator.flatMap { case (v, series) =>
+        val s = series(0)
         // A run must contain *all* elements in [ts, te]; never split a group
         // of equal timestamps (an edge-set that splits a tie can't be maximal).
         for {
@@ -59,6 +65,7 @@ object JoinBaseline {
           if f >= phi
         } yield Quintuple(u, v, s(i).t, s(j).t, f)
       }
+    })
   }
 
   /** All maximal instances, as [[InstanceRow]]s (sets omitted). */
@@ -70,8 +77,9 @@ object JoinBaseline {
       phi: Double
   ): Dataset[InstanceRow] = {
     import spark.implicits._
-    val q = quintuples(spark, edges, delta, phi).toDF()
-    val tsg = TimeSeriesGraph.build(edges)
+    LocalEnumerator.requireDelta(delta)
+    val gt = broadcastGT(edges)
+    val q = quintuplesOf(spark, gt, delta, phi).toDF()
 
     def vcol(i: Int) = StructuralMatcher.vcol(i)
     def qAlias(i: Int) =
@@ -97,44 +105,42 @@ object JoinBaseline {
     val distinctness = for { i <- vids; j <- vids if i < j } yield col(vcol(i)) =!= col(vcol(j))
     df = df.where(distinctness.reduceOption(_ && _).getOrElse(lit(true)))
 
-    // Attach the full series per motif edge for the maximality filter.
-    for (((a, b), i) <- motif.edges.zipWithIndex) {
-      val t = tsg.select(col("src").as(s"_sa$i"), col("dst").as(s"_sb$i"), col("series").as(s"s$i"))
-      df = df.join(t, col(vcol(a)) === col(s"_sa$i") && col(vcol(b)) === col(s"_sb$i"))
-        .drop(s"_sa$i", s"_sb$i")
-    }
-
     val m = motif.m
     val rows = df.select(
       array(vids.map(i => col(vcol(i))): _*).as("vs"),
       array((0 until m).map(i => col(s"ts$i")): _*).as("ts"),
       array((0 until m).map(i => col(s"te$i")): _*).as("te"),
-      array((0 until m).map(i => col(s"f$i")): _*).as("fs"),
-      array((0 until m).map(i => col(s"s$i")): _*).as("series")
+      array((0 until m).map(i => col(s"f$i")): _*).as("fs")
     ).as[BaselineRow]
 
+    // The full series per motif edge, for the maximality filter, from the broadcast G_T.
     rows
-      .filter(r => isMaximal(r, delta))
+      .filter { r =>
+        val series = motif.edges.map { case (a, b) =>
+          gt.value(r.vs(a)).collectFirst { case (v, s) if v == r.vs(b) => s(0) }.get
+        }
+        isMaximal(r, series, delta)
+      }
       .map(r => InstanceRow(r.vs, r.fs.min, r.ts.head, r.te.last, Seq.empty))
   }
 
-  /** Maximality of a joined candidate w.r.t. the full per-edge series:
-    * no interaction of edge i or i+1 falls strictly between consecutive
-    * edge-set extents, no e_1 interaction could be prepended within δ of the
-    * instance end, and no e_m interaction could be appended within δ of the
-    * instance start. Runs are contiguous by construction, so these boundary
-    * conditions are exactly Definition 3.3.
+  /** Maximality of a joined candidate w.r.t. the full per-edge series
+    * (`series(i)` is motif edge i's): no interaction of edge i or i+1 falls
+    * strictly between consecutive edge-set extents, no e_1 interaction could
+    * be prepended within δ of the instance end, and no e_m interaction could
+    * be appended within δ of the instance start. Runs are contiguous by
+    * construction, so these boundary conditions are exactly Definition 3.3.
     */
-  private[baseline] def isMaximal(r: BaselineRow, delta: Long): Boolean = {
+  private[baseline] def isMaximal(r: BaselineRow, series: Seq[IndexedSeq[TF]], delta: Long): Boolean = {
     val m = r.ts.length
     val tEnd = r.te(m - 1)
     val tStart = r.ts.head
-    val noPrefix = !r.series.head.exists(x => x.t >= tEnd - delta && x.t < tStart)
-    val noSuffix = !r.series(m - 1).exists(x => x.t > tEnd && x.t <= tStart + delta)
+    val noPrefix = !series.head.exists(x => x.t >= tEnd - delta && x.t < tStart)
+    val noSuffix = !series(m - 1).exists(x => x.t > tEnd && x.t <= tStart + delta)
     val noGaps = (0 until m - 1).forall { i =>
       val lo = r.te(i); val hi = r.ts(i + 1)
-      !r.series(i).exists(x => x.t > lo && x.t < hi) &&
-      !r.series(i + 1).exists(x => x.t > lo && x.t < hi)
+      !series(i).exists(x => x.t > lo && x.t < hi) &&
+      !series(i + 1).exists(x => x.t > lo && x.t < hi)
     }
     noPrefix && noSuffix && noGaps
   }

@@ -1,10 +1,10 @@
 package repro.core
 
 import scala.reflect.ClassTag
-import org.apache.spark.SparkContext
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Column, DataFrame, Dataset, Row, SparkSession}
 import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.{DoubleType, LongType}
 
 /** A structural match bundled with its per-motif-edge time series, the unit of
   * work for phase P2. `vs(i)` is the graph vertex mapped to motif vertex `i`;
@@ -32,43 +32,50 @@ final case class InstanceRow(
 object FlowMotifSearch {
 
   /** Phases P1 and P2: `p2(vs, series)` for each structural match, in the task
-    * that found it. `vs` is reused between matches, so `p2` must copy what it
-    * keeps. The one-vector case of [[perMatchUnder]], over the edges' own flows.
+    * that found it, over the [[index]] of the edges' own flows. `vs` is reused
+    * between matches, so `p2` must copy what it keeps.
     */
   private[core] def perMatch[R: ClassTag](edges: DataFrame, motif: Motif)(
       p2: (Array[Long], IndexedSeq[IndexedSeq[TF]]) => R
-  ): RDD[R] = {
-    val rows = checkedRows(edges)
-    perMatchUnder(edges.sparkSession.sparkContext, rows, Vector(rows.map(_.getDouble(3))), motif)(
-      (vs, series) => p2(vs, series.head))
-  }
+  ): RDD[R] =
+    StructuralMatcher.search(edges.sparkSession.sparkContext, index(checkedRows(edges)), motif)(
+      (vs, ps) => p2(vs, ps.map(_(0)).toIndexedSeq))
 
-  /** Phases P1 and P2 under several flow vectors at once (`flows(j)(i)` is the
-    * flow of `rows(i)` in vector j): P1 runs once, and `p2(vs, series)` gets
-    * `series(j)`, the match's per-edge series under vector j. The DFS's index
-    * `src → [(dst, series)]` is `G_T`, built on the driver with no shuffle:
-    * self-loops dropped, series j sorted by `(t, flows(j))`, the order
-    * `TimeSeriesGraph.build`'s `sort_array` gives on the graph with those flows.
+  /** `G_T` as an adjacency index `src → [(dst, series)]`, the one `G_T` every
+    * search, the study, the join baseline and the network statistics read.
+    * `series(j)` is `R(src, dst)` under flow vector j.
     */
-  private[repro] def perMatchUnder[R: ClassTag](
-      sc: SparkContext, rows: Array[Row], flows: IndexedSeq[Array[Double]], motif: Motif
-  )(p2: (Array[Long], IndexedSeq[IndexedSeq[IndexedSeq[TF]]]) => R): RDD[R] = {
+  private[repro] type Index = Map[Long, Array[(Long, Array[IndexedSeq[TF]])]]
+
+  /** The [[Index]] of [[checkedRows]] under flow vectors `flows` (`flows(j)(i)`
+    * is the flow of `rows(i)` in vector j), built on the driver with no
+    * shuffle: self-loops dropped, series j sorted by `(t, flows(j))`, the order
+    * `sort_array(struct(t, f))` gives on the graph with those flows.
+    */
+  private[repro] def index(rows: Array[Row], flows: IndexedSeq[Array[Double]]): Index = {
     // Each payload is an array: the broadcast serializes it faster than a collection.
     val fs = flows.toArray
-    val index = Array.range(0, rows.length).filter(i => rows(i).getLong(0) != rows(i).getLong(1))
+    Array.range(0, rows.length).filter(i => rows(i).getLong(0) != rows(i).getLong(1))
       .groupBy(i => (rows(i).getLong(0), rows(i).getLong(1))).toArray.groupMap(_._1._1) { case ((_, d), ids) =>
         (d, fs.map(f => ids.map(i => TF(rows(i).getLong(2), f(i)))
           .sortWith((a, b) => a.t < b.t || a.t == b.t && a.f < b.f).toIndexedSeq))
       }
-    StructuralMatcher.search(sc, index, motif)((vs, ps) => p2(vs, ps.transpose.toIndexedSeq.map(_.toIndexedSeq)))
   }
 
+  /** The one-vector [[Index]], over the rows' own flows. */
+  private[repro] def index(rows: Array[Row]): Index = index(rows, Vector(rows.map(_.getDouble(3))))
+
   /** The one flat collect every search starts from: columns `src, dst, t, f`,
-    * then `extra`. Every row, self-loops included, is checked as it is read,
-    * so a null column, or a flow that is not positive and finite, fails here
-    * with the column and its value.
+    * then `extra`. The column types are checked before the collect, and every
+    * row, self-loops included, as it is read, so a column of the wrong type, a
+    * null, or a flow that is not positive and finite fails here with the
+    * column and its value.
     */
-  private[repro] def checkedRows(edges: DataFrame, extra: Column*): Array[Row] =
+  private[repro] def checkedRows(edges: DataFrame, extra: Column*): Array[Row] = {
+    for ((c, want) <- Seq("src" -> LongType, "dst" -> LongType, "t" -> LongType, "f" -> DoubleType)) {
+      val got = edges.schema(c).dataType
+      require(got == want, s"column $c must be ${want.simpleString}, got ${got.simpleString}")
+    }
     edges.select(Seq("src", "dst", "t", "f").map(col) ++ extra: _*).collect().map { r =>
       val (s, d) = (StructuralMatcher.vertex(r, "src"), StructuralMatcher.vertex(r, "dst"))
       for (c <- Seq("t", "f"))
@@ -76,6 +83,7 @@ object FlowMotifSearch {
       Series.requireFlow(TF(r.getLong(2), r.getDouble(3)))
       r
     }
+  }
 
   private[core] def instanceRow(vs: Seq[Long], inst: LocalInstance): InstanceRow =
     InstanceRow(vs, inst.flow, inst.tStart, inst.tEnd, inst.sets)

@@ -27,7 +27,7 @@ object StructuralMatcher {
   /** All structural matches. Output columns: `v0..v{numVertices-1}`, one row
     * per match, where `v{i}` is the graph vertex mapped to motif vertex `i`.
     *
-    * @param pairs distinct `(src, dst)` pairs of `G_T` (see [[TimeSeriesGraph.pairs]])
+    * @param pairs distinct `(src, dst)` pairs of `G_T`, self-loops excluded
     */
   def matches(pairs: DataFrame, motif: Motif): DataFrame = {
     val index = pairs.select("src", "dst").collect().groupMap(vertex(_, "src"))(r => (vertex(r, "dst"), ()))

@@ -6,6 +6,9 @@ import org.apache.spark.sql.functions._
 /** Construction of the time-series graph `G_T(V, E_T)` (Section 4, Figure 5):
   * the input multigraph's parallel edges between a pair of vertices are merged
   * into one edge carrying the interaction time series `R(u, v)`.
+  * No library code path runs `build`: every search, the study, the join
+  * baseline and the network statistics read `FlowMotifSearch.index`, and
+  * `build` stays as the tests' reference `G_T`.
   *
   * Input edge schema everywhere in this repo:
   * `src: long, dst: long, t: long, f: double` — one row per interaction.

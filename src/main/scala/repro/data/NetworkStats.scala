@@ -1,23 +1,22 @@
 package repro.data
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import repro.core.FlowMotifSearch
 
 /** Dataset statistics of the paper's Table 3. */
 object NetworkStats {
 
   final case class Stats(nodes: Long, connectedPairs: Long, edges: Long, avgFlow: Double)
 
-  /** (#nodes, #connected node pairs = |E_T|, #edges, average flow per edge). */
+  /** (#nodes, #connected node pairs = |E_T|, #edges, average flow per edge),
+    * from the search's checked collect: `|E_T|` is the number of pairs in its
+    * `G_T` index, so self-loops are not counted. Empty input gives zero counts
+    * and a NaN average.
+    */
   def stats(edges: DataFrame): Stats = {
-    val nodes = edges.select(col("src").as("v"))
-      .unionByName(edges.select(col("dst").as("v")))
-      .distinct().count()
-    val row = edges.agg(
-      count(lit(1)).as("edges"),
-      avg(col("f")).as("avgFlow")
-    ).head()
-    val pairs = edges.select(col("src"), col("dst")).distinct().count()
-    Stats(nodes, pairs, row.getLong(0), row.getDouble(1))
+    val rows = FlowMotifSearch.checkedRows(edges)
+    val nodes = rows.iterator.flatMap(r => Iterator(r.getLong(0), r.getLong(1))).toSet.size
+    val pairs = FlowMotifSearch.index(rows).valuesIterator.map(_.length).sum
+    Stats(nodes, pairs, rows.length, rows.iterator.map(_.getDouble(3)).sum / rows.length)
   }
 }

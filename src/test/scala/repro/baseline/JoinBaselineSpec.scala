@@ -1,5 +1,6 @@
 package repro.baseline
 
+import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Join}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.core._
@@ -95,5 +96,15 @@ class JoinBaselineSpec extends SparkSpec {
     assert(summarize(viaJoin) == summarize(viaTwoPhase))
     assert(viaJoin.length == 1)
     assert(viaJoin.head.flow == 4.0) // min(2+3, 4)
+  }
+
+  test("the optimized plan joins the quintuples m - 1 times and aggregates nothing") {
+    val edges = TestGraphs.toDf(spark, TestGraphs.randomEdges(4, 30, 40, 5, seed = 35))
+    for (motif <- MotifCatalog.all) {
+      val plan = JoinBaseline.instances(spark, edges, motif, 12, 1.0).queryExecution.optimizedPlan
+      val joins = plan.collect { case j: Join => j }.length
+      val aggregates = plan.collect { case a: Aggregate => a }.length
+      assert((joins, aggregates) == (motif.m - 1, 0), motif.name)
+    }
   }
 }

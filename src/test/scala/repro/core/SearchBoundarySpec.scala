@@ -2,8 +2,10 @@ package repro.core
 
 import org.apache.spark.{JobExecutionStatus, SparkJobInfo}
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
 import repro.{SparkSpec, TestGraphs}
+import repro.baseline.JoinBaseline
 import repro.data.Randomizer
 import repro.stats.Significance
 
@@ -21,7 +23,8 @@ class SearchBoundarySpec extends SparkSpec {
     "countInstances" -> ((e, d) => FlowMotifSearch.countInstances(spark, e, motif, d, 1.0)),
     "topK" -> ((e, d) => TopKSearch.topK(spark, e, motif, d, 3)),
     "maxFlowDP" -> ((e, d) => TopKSearch.maxFlowDP(spark, e, motif, d)),
-    "study" -> ((e, d) => Significance.study(spark, e, motif, d, 1.0, nRandom = 1))
+    "study" -> ((e, d) => Significance.study(spark, e, motif, d, 1.0, nRandom = 1)),
+    "JoinBaseline.count" -> ((e, d) => JoinBaseline.count(spark, e, motif, d, 1.0))
   )
 
   private val good = TestGraphs.randomEdges(5, 40, 40, 5, seed = 81)
@@ -50,6 +53,18 @@ class SearchBoundarySpec extends SparkSpec {
     test(s"$name rejects δ < 0 before any Spark job runs") {
       rejectedBeforeAnyJob(s"negative-delta-$name", "delta must be non-negative, got -1") {
         call(TestGraphs.toDf(spark, good), -1L)
+      }
+    }
+
+    test(s"$name checks column types before any Spark job runs") {
+      val cases = Seq(
+        ("src", "int") -> "column src must be bigint, got int",
+        ("dst", "string") -> "column dst must be bigint, got string",
+        ("t", "int") -> "column t must be bigint, got int",
+        ("f", "float") -> "column f must be double, got float")
+      for (((column, tpe), message) <- cases) {
+        val edges = TestGraphs.toDf(spark, good).withColumn(column, col(column).cast(tpe))
+        rejectedBeforeAnyJob(s"column-type-$name-$column", message)(call(edges, 10L))
       }
     }
 
@@ -101,7 +116,8 @@ class SearchBoundarySpec extends SparkSpec {
       val df = TestGraphs.toDf(spark, edges)
       (FlowMotifSearch.countInstances(spark, df, m, 12, 2.0),
        TopKSearch.topK(spark, df, m, 12, 5).map(_.flow),
-       TopKSearch.maxFlowDP(spark, df, m, 12))
+       TopKSearch.maxFlowDP(spark, df, m, 12),
+       JoinBaseline.count(spark, df, m, 12, 2.0))
     }
     try {
       for ((m, seed) <- Seq(MotifCatalog.M32 -> 91L, MotifCatalog.M33 -> 92L, MotifCatalog.M44B -> 93L)) {
