@@ -27,14 +27,13 @@ final case class BaselineRow(vs: Seq[Long], ts: Seq[Long], te: Seq[Long], fs: Se
   * slowness. A final filter keeps only maximal instances so the output
   * matches the two-phase algorithm row-for-row.
   *
-  * `G_T` is the search's own index ([[FlowMotifSearch.index]] over its checked
-  * collect), broadcast once: step 1 reads its pairs and the maximality filter
-  * its series.
+  * `G_T` is the search's own [[Index]] over its checked collect, broadcast
+  * once: step 1 reads its pairs and the maximality filter its series.
   */
 object JoinBaseline {
 
-  private def broadcastGT(edges: DataFrame): Broadcast[FlowMotifSearch.Index] =
-    edges.sparkSession.sparkContext.broadcast(FlowMotifSearch.index(FlowMotifSearch.checkedRows(edges)))
+  private def broadcastGT(edges: DataFrame): Broadcast[Index] =
+    edges.sparkSession.sparkContext.broadcast(Index(FlowMotifSearch.checkedRows(edges)))
 
   /** All contiguous runs with span ≤ δ and flow ≥ φ, per `G_T` edge. */
   def quintuples(
@@ -47,12 +46,13 @@ object JoinBaseline {
     quintuplesOf(spark, broadcastGT(edges), delta, phi)
   }
 
-  private def quintuplesOf(spark: SparkSession, gt: Broadcast[FlowMotifSearch.Index], delta: Long, phi: Double) = {
+  private def quintuplesOf(spark: SparkSession, gt: Broadcast[Index], delta: Long, phi: Double) = {
     import spark.implicits._
     val sc = spark.sparkContext
-    spark.createDataset(sc.parallelize(gt.value.keys.toSeq, sc.defaultParallelism).flatMap { u =>
-      gt.value(u).iterator.flatMap { case (v, series) =>
-        val s = series(0)
+    spark.createDataset(sc.parallelize(gt.value.keys.indices, sc.defaultParallelism).flatMap { key =>
+      val (g, u) = (gt.value, gt.value.keys(key))
+      g.pairsOf(u).iterator.flatMap { p =>
+        val (v, s) = (g.dst(p), g.series(p, 0))
         // A run must contain *all* elements in [ts, te]; never split a group
         // of equal timestamps (an edge-set that splits a tie can't be maximal).
         for {
@@ -116,9 +116,8 @@ object JoinBaseline {
     // The full series per motif edge, for the maximality filter, from the broadcast G_T.
     rows
       .filter { r =>
-        val series = motif.edges.map { case (a, b) =>
-          gt.value(r.vs(a)).collectFirst { case (v, s) if v == r.vs(b) => s(0) }.get
-        }
+        val g = gt.value
+        val series = motif.edges.map { case (a, b) => g.series(g.pairsOf(r.vs(a)).find(g.dst(_) == r.vs(b)).get, 0) }
         isMaximal(r, series, delta)
       }
       .map(r => InstanceRow(r.vs, r.fs.min, r.ts.head, r.te.last, Seq.empty))

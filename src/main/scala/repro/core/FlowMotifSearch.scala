@@ -24,46 +24,27 @@ final case class InstanceRow(
 )
 
 /** The paper's two-phase flow motif search, distributed:
-  * P1 = [[StructuralMatcher]] (the spanning-path DFS over a broadcast `G_T`
-  * index, which hands each match over with its per-edge series);
+  * P1 = [[StructuralMatcher]] (the spanning-path DFS over the broadcast `G_T`
+  * [[Index]], which hands each match over as the pairs its edges traverse);
   * P2 = [[LocalEnumerator]] (Algorithm 1), run on each match inside the
   * walk's own task by [[perMatch]], the one driver behind every search.
   */
 object FlowMotifSearch {
 
   /** Phases P1 and P2: `p2(vs, series)` for each structural match, in the task
-    * that found it, over the [[index]] of the edges' own flows. `vs` is reused
+    * that found it, over the [[Index]] of the edges' own flows. `vs` is reused
     * between matches, so `p2` must copy what it keeps.
     */
   private[core] def perMatch[R: ClassTag](edges: DataFrame, motif: Motif)(
       p2: (Array[Long], IndexedSeq[IndexedSeq[TF]]) => R
+  ): RDD[R] = perMatch(edges, motif, edges.sparkSession.sparkContext.defaultParallelism)(p2)
+
+  /** [[perMatch]] with P1's start vertices split over `slices` tasks. */
+  private[core] def perMatch[R: ClassTag](edges: DataFrame, motif: Motif, slices: Int)(
+      p2: (Array[Long], IndexedSeq[IndexedSeq[TF]]) => R
   ): RDD[R] =
-    StructuralMatcher.search(edges.sparkSession.sparkContext, index(checkedRows(edges)), motif)(
-      (vs, ps) => p2(vs, ps.map(_(0)).toIndexedSeq))
-
-  /** `G_T` as an adjacency index `src → [(dst, series)]`, the one `G_T` every
-    * search, the study, the join baseline and the network statistics read.
-    * `series(j)` is `R(src, dst)` under flow vector j.
-    */
-  private[repro] type Index = Map[Long, Array[(Long, Array[IndexedSeq[TF]])]]
-
-  /** The [[Index]] of [[checkedRows]] under flow vectors `flows` (`flows(j)(i)`
-    * is the flow of `rows(i)` in vector j), built on the driver with no
-    * shuffle: self-loops dropped, series j sorted by `(t, flows(j))`, the order
-    * `sort_array(struct(t, f))` gives on the graph with those flows.
-    */
-  private[repro] def index(rows: Array[Row], flows: IndexedSeq[Array[Double]]): Index = {
-    // Each payload is an array: the broadcast serializes it faster than a collection.
-    val fs = flows.toArray
-    Array.range(0, rows.length).filter(i => rows(i).getLong(0) != rows(i).getLong(1))
-      .groupBy(i => (rows(i).getLong(0), rows(i).getLong(1))).toArray.groupMap(_._1._1) { case ((_, d), ids) =>
-        (d, fs.map(f => ids.map(i => TF(rows(i).getLong(2), f(i)))
-          .sortWith((a, b) => a.t < b.t || a.t == b.t && a.f < b.f).toIndexedSeq))
-      }
-  }
-
-  /** The one-vector [[Index]], over the rows' own flows. */
-  private[repro] def index(rows: Array[Row]): Index = index(rows, Vector(rows.map(_.getDouble(3))))
+    StructuralMatcher.search(edges.sparkSession.sparkContext, Index(checkedRows(edges)), motif, slices)(
+      (gt, vs, ps) => p2(vs, gt.seriesOf(ps, 0)))
 
   /** The one flat collect every search starts from: columns `src, dst, t, f`,
     * then `extra`. The column types are checked before the collect, and every

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
-
 /** Phase P2 of the paper's two-phase algorithm: the one window scan and the
   * one Algorithm-1 recursion behind counting/enumeration (fixed φ), top-k
   * ([[TopKEnumerator]], floating threshold) and the top-1 DP ([[MaxFlowDP]],
@@ -93,24 +91,25 @@ object LocalEnumerator {
   /** Algorithm 1: invoke `emit` for every maximal instance whose edge-set flow
     * sums all pass `admit`. `admit` sees the running minimum edge-set flow of
     * each admissible prefix (the instance flow so far) and is re-evaluated on
-    * every prefix, so its threshold may rise while the search runs.
+    * every prefix, so its threshold may rise while the search runs. The
+    * recursion records only where each edge-set starts and ends; `emit`'s
+    * instance is built only if the emitter reads it.
     */
   def search(seriesIn: IndexedSeq[IndexedSeq[TF]], delta: Long)(admit: Double => Boolean)(
-      emit: LocalInstance => Unit
+      emit: (=> LocalInstance) => Unit
   ): Unit = windows(seriesIn, delta) { (series, a, windowEnd) =>
     val m = series.length
-    val chosen = new Array[Vector[TF]](m)
+    val (start, end) = (new Array[Int](m), new Array[Int](m)) // E_{i+1} = series(i).slice(start(i), end(i))
+    def instance = LocalInstance(Vector.tabulate(m)(i => series(i).slice(start(i), end(i)).toVector))
 
     def rec(ei: Int, startIdx: Int, minSoFar: Double): Unit = {
       val s = series(ei)
       // The last edge-set is cut only at the window end: no next series stops it.
       val next = if (ei + 1 < m) series(ei + 1) else IndexedSeq.empty[TF]
-      val buf = new ArrayBuffer[TF]()
       var fsum = 0.0
       var k = startIdx
       while (k < s.length && s(k).t <= windowEnd) {
         fsum += s(k).f
-        buf += s(k)
         val nIdx = Series.upperBound(next, s(k).t) // forced start of E_{i+1}
         val nT = if (nIdx < next.length) next(nIdx).t else Long.MaxValue
         val ownNextT = if (k + 1 < s.length) s(k + 1).t else Long.MaxValue
@@ -118,8 +117,9 @@ object LocalEnumerator {
         val maximalCut = !(ownNextT <= windowEnd && ownNextT < nT)
         val flow = math.min(minSoFar, fsum)
         if (maximalCut && admit(flow)) { // prefix pruning (Algorithm 1 line 16)
-          chosen(ei) = buf.toVector
-          if (ei == m - 1) emit(LocalInstance(chosen.toVector))
+          start(ei) = startIdx
+          end(ei) = k + 1
+          if (ei == m - 1) emit(instance)
           else rec(ei + 1, nIdx, flow)
         }
         k += 1

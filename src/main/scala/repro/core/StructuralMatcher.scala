@@ -10,14 +10,15 @@ import org.apache.spark.sql.types.{LongType, StructField, StructType}
 /** Phase P1 (Section 4): find every structural match of a motif's spanning
   * path in the time-series graph, disregarding timestamps, δ and φ.
   *
-  * This is the paper's modified DFS over an adjacency index
-  * `src → [(dst, payload)]` that the caller builds on the driver; the index
-  * is broadcast and each executor walks the spanning path from its share of
-  * the start vertices. The walk binds a motif vertex on its first visit to any
-  * out-neighbour not bound yet (the vertex bijection), and on a revisit
-  * (cycle closure) follows only the edge to the vertex already bound. The
-  * payload of each traversed edge rides along, so phase P2 gets each match
-  * with its series and no join is needed.
+  * This is the paper's modified DFS over the [[Index]] that the caller builds
+  * on the driver; the index is broadcast and each executor walks the spanning
+  * path from its share of the start vertices, finding the pairs out of a
+  * vertex by binary search on the index's sorted sources. The walk binds a
+  * motif vertex on its first visit to any out-neighbour not bound yet (the
+  * vertex bijection), and on a revisit (cycle closure) follows only the edge
+  * to the vertex already bound. The pair id of each traversed edge rides
+  * along, so phase P2 reads each match's series from the index and no join
+  * is needed.
   */
 object StructuralMatcher {
 
@@ -30,29 +31,34 @@ object StructuralMatcher {
     * @param pairs distinct `(src, dst)` pairs of `G_T`, self-loops excluded
     */
   def matches(pairs: DataFrame, motif: Motif): DataFrame = {
-    val index = pairs.select("src", "dst").collect().groupMap(vertex(_, "src"))(r => (vertex(r, "dst"), ()))
-    val rows = search(pairs.sparkSession.sparkContext, index, motif)((vs, _) => Row.fromSeq(vs.toSeq))
+    val rows = pairs.select("src", "dst").collect()
+    val index = Index.build(rows.map(vertex(_, "src")), rows.map(vertex(_, "dst")), new Array[Long](rows.length),
+      Vector.empty)
+    val out = search(pairs.sparkSession.sparkContext, index, motif)((_, vs, _) => Row.fromSeq(vs.toSeq))
     val schema = StructType(motif.vertexIds.map(i => StructField(vcol(i), LongType, nullable = false)))
-    pairs.sparkSession.createDataFrame(rows, schema)
+    pairs.sparkSession.createDataFrame(out, schema)
   }
 
-  /** Every structural match of `motif` over `index` (`src → [(dst, payload)]`),
-    * one `out(vs, payloads)` per match: `vs(i)` is the graph vertex bound to
-    * motif vertex `i`, `payloads(i)` is the payload of the edge motif edge
+  /** Every structural match of `motif` over `index`, one `out(gt, vs, ps)` per
+    * match, where `gt` is the executor's copy of the index: `vs(i)` is the
+    * graph vertex bound to motif vertex `i`, `ps(i)` is the pair motif edge
     * `i+1` traverses. Both arrays are reused between calls, so `out` must copy
     * what it keeps.
     */
-  def search[P: ClassTag, R: ClassTag](sc: SparkContext, index: Map[Long, Array[(Long, P)]], motif: Motif)(
-      out: (Array[Long], Array[P]) => R
+  private[repro] def search[R: ClassTag](sc: SparkContext, index: Index, motif: Motif)(
+      out: (Index, Array[Long], Array[Int]) => R
+  ): RDD[R] = search(sc, index, motif, sc.defaultParallelism)(out)
+
+  /** [[search]] with the start vertices split over `slices` tasks. */
+  private[core] def search[R: ClassTag](sc: SparkContext, index: Index, motif: Motif, slices: Int)(
+      out: (Index, Array[Long], Array[Int]) => R
   ): RDD[R] = {
-    val adjacency = sc.broadcast(index)
-    val starts = index.keys.toVector.sorted
-    sc.parallelize(starts, sc.defaultParallelism).mapPartitions { it =>
-      val adj = adjacency.value
-      val none = Array.empty[(Long, P)]
-      it.flatMap { start =>
+    val gt = sc.broadcast(index)
+    sc.parallelize(index.keys.indices, slices).mapPartitions { it =>
+      val g = gt.value
+      it.flatMap { i =>
         val found = ArrayBuffer.empty[R]
-        walk(v => adj.getOrElse(v, none), motif, start)((vs, ps) => found += out(vs, ps))
+        walk(g, motif, g.keys(i))((vs, ps) => found += out(g, vs, ps))
         found
       }
     }
@@ -69,18 +75,17 @@ object StructuralMatcher {
     * are numbered by first appearance along the path, so after binding `n`
     * of them, `path(i + 1)` is new exactly when it equals `n`.
     */
-  private def walk[P: ClassTag](adj: Long => Array[(Long, P)], motif: Motif, start: Long)(
-      emit: (Array[Long], Array[P]) => Unit
-  ): Unit = {
+  private def walk(gt: Index, motif: Motif, start: Long)(emit: (Array[Long], Array[Int]) => Unit): Unit = {
     val path = motif.path
     val vs = new Array[Long](motif.numVertices)
-    val ps = new Array[P](motif.m)
+    val ps = new Array[Int](motif.m)
 
     def step(i: Int, bound: Int): Unit =
       if (i == motif.m) emit(vs, ps)
       else {
         val b = path(i + 1)
-        for ((w, p) <- adj(vs(path(i)))) {
+        for (p <- gt.pairsOf(vs(path(i)))) {
+          val w = gt.dst(p)
           if (b < bound) {
             if (w == vs(b)) { ps(i) = p; step(i + 1, bound) } // cycle closure
           } else if (!vs.iterator.take(bound).contains(w)) { // injectivity

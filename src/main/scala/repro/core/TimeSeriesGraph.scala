@@ -7,7 +7,7 @@ import org.apache.spark.sql.functions._
   * the input multigraph's parallel edges between a pair of vertices are merged
   * into one edge carrying the interaction time series `R(u, v)`.
   * No library code path runs `build`: every search, the study, the join
-  * baseline and the network statistics read `FlowMotifSearch.index`, and
+  * baseline and the network statistics read [[Index]], and
   * `build` stays as the tests' reference `G_T`.
   *
   * Input edge schema everywhere in this repo:

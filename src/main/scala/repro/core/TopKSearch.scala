@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.math.Ordering.Implicits.seqOrdering
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Distributed top-k flow motif search (Section 5) and the DP-based top-1
@@ -8,25 +9,35 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   * Each structural match computes its local top-k with the floating-threshold
   * enumerator (or its top-1 flow with the DP module) in the task that found
   * it; each task keeps its k best candidates and the driver merges them, so
-  * nothing is shuffled.
+  * nothing is shuffled. Heap and merge share one total order, so tied flows
+  * give the same instances however the walk is split.
   */
 object TopKSearch {
 
-  /** The k highest-flow maximal instances (φ = 0), best first. */
+  /** The k best maximal instances (φ = 0), best first: flow descending, ties
+    * broken by the vertices, then by the edge-sets' timestamps, so the answer
+    * does not depend on how the walk is split into tasks.
+    */
   def topK(
       spark: SparkSession,
       edges: DataFrame,
       motif: Motif,
       delta: Long,
       k: Int
-  ): Seq[InstanceRow] = {
+  ): Seq[InstanceRow] = topK(edges, motif, delta, k, spark.sparkContext.defaultParallelism)
+
+  /** [[topK]] with P1's start vertices split over `slices` tasks. */
+  private[core] def topK(edges: DataFrame, motif: Motif, delta: Long, k: Int, slices: Int): Seq[InstanceRow] = {
     LocalEnumerator.requireDelta(delta)
     TopKEnumerator.requireK(k)
-    FlowMotifSearch.perMatch(edges, motif) { (vs, series) =>
+    FlowMotifSearch.perMatch(edges, motif, slices) { (vs, series) =>
       val v = vs.toSeq
       TopKEnumerator.topK(series, delta, k).map(FlowMotifSearch.instanceRow(v, _))
-    }.flatMap(identity).top(k)(Ordering.by(_.flow)).toSeq
+    }.flatMap(identity).takeOrdered(k)(order).toSeq
   }
+
+  /** [[TopKEnumerator.order]] with the vertices between flow and timestamps. */
+  private val order = TopKEnumerator.bestFirst[InstanceRow](_.flow)(Ordering.by(r => (r.vs, r.sets.map(_.map(_.t)))))
 
   /** Top-1 instance flow via the dynamic-programming module (Algorithm 2). */
   def maxFlowDP(

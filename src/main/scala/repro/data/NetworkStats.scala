@@ -1,7 +1,7 @@
 package repro.data
 
 import org.apache.spark.sql.DataFrame
-import repro.core.FlowMotifSearch
+import repro.core.{FlowMotifSearch, Index}
 
 /** Dataset statistics of the paper's Table 3. */
 object NetworkStats {
@@ -16,7 +16,6 @@ object NetworkStats {
   def stats(edges: DataFrame): Stats = {
     val rows = FlowMotifSearch.checkedRows(edges)
     val nodes = rows.iterator.flatMap(r => Iterator(r.getLong(0), r.getLong(1))).toSet.size
-    val pairs = FlowMotifSearch.index(rows).valuesIterator.map(_.length).sum
-    Stats(nodes, pairs, rows.length, rows.iterator.map(_.getDouble(3)).sum / rows.length)
+    Stats(nodes, Index(rows).pairs, rows.length, rows.iterator.map(_.getDouble(3)).sum / rows.length)
   }
 }

@@ -1,7 +1,7 @@
 package repro.stats
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{FlowMotifSearch, LocalEnumerator, Motif, StructuralMatcher}
+import repro.core.{Index, LocalEnumerator, Motif, StructuralMatcher}
 import repro.data.Randomizer
 
 /** Statistical significance of flow motifs (Section 6.3): compare the number
@@ -51,8 +51,8 @@ object Significance {
     require(nRandom >= 1, s"nRandom must be >= 1, got $nRandom")
     LocalEnumerator.requireDelta(delta)
     val (rows, flows) = Randomizer.flowVectors(edges, seed, nRandom)
-    val counts = StructuralMatcher.search(spark.sparkContext, FlowMotifSearch.index(rows, flows), motif)(
-      (_, ps) => Array.tabulate(nRandom + 1)(j => LocalEnumerator.count(ps.map(_(j)).toIndexedSeq, delta, phi))
+    val counts = StructuralMatcher.search(spark.sparkContext, Index(rows, flows), motif)(
+      (gt, _, ps) => Array.tabulate(nRandom + 1)(j => LocalEnumerator.count(gt.seriesOf(ps, j), delta, phi))
     ).fold(new Array[Long](nRandom + 1))((a, b) => a.lazyZip(b).map(_ + _))
     val (real, randomCounts) = (counts.head, counts.toVector.tail)
     val (mu, sd, z) = zScore(real, randomCounts)

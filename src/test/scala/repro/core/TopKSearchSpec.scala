@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
+import repro.data.InteractionGen
 
 /** Distributed top-k and the DP top-1 (Section 5) against the exhaustive
   * two-phase search.
@@ -29,6 +30,15 @@ class TopKSearchSpec extends SparkSpec {
     val top = TopKSearch.topK(spark, TestGraphs.toDf(spark, edges), MotifCatalog.M32, 10, 1)
     assert(top.map(_.vs.toVector) == Seq(Vector(7L, 8L, 9L)))
     assert(top.head.flow == 50.0)
+  }
+
+  test("tied top-k instances do not depend on how the walk is split into tasks") {
+    // Facebook-like sf 1, M(4,3), δ = 600: the five best instances all have flow 12.0.
+    val df = InteractionGen.facebookLike(spark, 1.0).cache()
+    val tops = Seq(1, 2, 4).map(n => TopKSearch.topK(df, MotifCatalog.M43, 600, 5, n))
+    assert(tops.head.map(_.flow) == Seq.fill(5)(12.0))
+    for ((top, n) <- tops.zip(Seq(1, 2, 4)).tail) assert(top == tops.head, s"$n slices")
+    df.unpersist()
   }
 
   test("DP max flow == top-1 flow from the heap-based search") {
