@@ -1,69 +1,64 @@
 package repro.baseline
 
-import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core._
 
 /** One candidate edge-set of a motif edge: a contiguous run of interactions
   * on graph edge `(src, dst)` spanning `[ts, te]` (both endpoints are actual
-  * interaction timestamps), with aggregated flow `f`.
+  * interaction timestamps), with aggregated flow `f`. `prev` is the pair's
+  * nearest interaction strictly before `ts` and `next` its nearest strictly
+  * after `te`, if any.
   */
-final case class Quintuple(src: Long, dst: Long, ts: Long, te: Long, f: Double)
-
-/** A fully-joined motif candidate prior to the maximality filter. */
-final case class BaselineRow(vs: Seq[Long], ts: Seq[Long], te: Seq[Long], fs: Seq[Double])
+final case class Quintuple(src: Long, dst: Long, ts: Long, te: Long, f: Double, prev: Option[Long], next: Option[Long])
 
 /** The competitor of Section 6.2.1: build motif instances bottom-up by
   * joining interval quintuples.
   *
   * Step 1 generates, per `G_T` edge, every time interval of length ≤ δ (all
-  * contiguous runs of the edge's series) with its aggregated flow — the
-  * quintuples `(u, v, t_s, t_e, f)`. Step 2 merge-joins them along the
-  * spanning path, one join per motif edge after the first, checking
-  * consecutive temporal ordering, the running duration bound, vertex bindings
-  * and (for cyclic motifs) cycle closure. This materializes every sub-motif
-  * instance — the intermediate blowup the paper blames for the baseline's
-  * slowness. A final filter keeps only maximal instances so the output
-  * matches the two-phase algorithm row-for-row.
-  *
-  * `G_T` is the search's own [[Index]] over its checked collect, broadcast
-  * once: step 1 reads its pairs and the maximality filter its series.
+  * contiguous runs of the edge's series) with its aggregated flow and its
+  * neighbouring interactions — the quintuples `(u, v, t_s, t_e, f)`. Step 2
+  * joins them along the spanning path, one join per motif edge after the
+  * first, and keeps the joined rows that pass column predicates: consecutive
+  * temporal ordering, the running duration bound, cycle closure, vertex
+  * distinctness and maximality. This materializes every sub-motif instance —
+  * the intermediate blowup the paper blames for the baseline's slowness.
+  * Runs are contiguous and never split a timestamp, so an instance is
+  * maximal (Definition 3.3) exactly when edge i's `next` and edge i+1's
+  * `prev` do not fall between their edge-sets, e_1's `prev` is more than δ
+  * before the instance end and e_m's `next` more than δ after its start.
+  * Every bound is a difference, so a δ near `Long.MaxValue` does not wrap.
   */
 object JoinBaseline {
 
-  private def broadcastGT(edges: DataFrame): Broadcast[Index] =
-    edges.sparkSession.sparkContext.broadcast(Index(FlowMotifSearch.checkedRows(edges)))
-
-  /** All contiguous runs with span ≤ δ and flow ≥ φ, per `G_T` edge. */
+  /** All contiguous runs with span ≤ δ and flow ≥ φ, per `G_T` edge, from the
+    * search's own [[Index]] over its checked collect, broadcast once.
+    */
   def quintuples(
       spark: SparkSession,
       edges: DataFrame,
       delta: Long,
       phi: Double
   ): Dataset[Quintuple] = {
-    LocalEnumerator.requireDelta(delta)
-    quintuplesOf(spark, broadcastGT(edges), delta, phi)
-  }
-
-  private def quintuplesOf(spark: SparkSession, gt: Broadcast[Index], delta: Long, phi: Double) = {
     import spark.implicits._
+    LocalEnumerator.requireDelta(delta)
     val sc = spark.sparkContext
+    val gt = sc.broadcast(Index(FlowMotifSearch.checkedRows(edges)))
     spark.createDataset(sc.parallelize(gt.value.keys.indices, sc.defaultParallelism).flatMap { key =>
       val (g, u) = (gt.value, gt.value.keys(key))
       g.pairsOf(u).iterator.flatMap { p =>
         val (v, s) = (g.dst(p), g.series(p, 0))
         // A run must contain *all* elements in [ts, te]; never split a group
         // of equal timestamps (an edge-set that splits a tie can't be maximal).
-        for {
-          i <- s.indices
-          if i == 0 || s(i - 1).t != s(i).t
-          j <- i until s.length
-          if s(j).t - s(i).t <= delta
-          if j == s.length - 1 || s(j + 1).t != s(j).t
-          f = s.slice(i, j + 1).map(_.f).sum
-          if f >= phi
-        } yield Quintuple(u, v, s(i).t, s(j).t, f)
+        s.indices.iterator.filter(i => i == 0 || s(i - 1).t != s(i).t).flatMap { i =>
+          val prev = if (i == 0) None else Some(s(i - 1).t)
+          var f = 0.0 // the run's flow, summed left to right as the run grows
+          (i until s.length).iterator.takeWhile(s(_).t - s(i).t <= delta).flatMap { j =>
+            f += s(j).f
+            val next = if (j + 1 < s.length) Some(s(j + 1).t) else None
+            if (next.contains(s(j).t) || f < phi) None else Some(Quintuple(u, v, s(i).t, s(j).t, f, prev, next))
+          }
+        }
       }
     })
   }
@@ -77,71 +72,27 @@ object JoinBaseline {
       phi: Double
   ): Dataset[InstanceRow] = {
     import spark.implicits._
-    LocalEnumerator.requireDelta(delta)
-    val gt = broadcastGT(edges)
-    val q = quintuplesOf(spark, gt, delta, phi).toDF()
-
-    def vcol(i: Int) = StructuralMatcher.vcol(i)
-    def qAlias(i: Int) =
-      q.select(col("src").as(s"_qa$i"), col("dst").as(s"_qb$i"),
-               col("ts").as(s"ts$i"), col("te").as(s"te$i"), col("f").as(s"f$i"))
-
-    val (a0, b0) = motif.edges.head
-    var df = qAlias(0)
-      .withColumnRenamed(s"_qa0", vcol(a0))
-      .withColumnRenamed(s"_qb0", vcol(b0))
-    var bound = Set(a0, b0)
-    for (step <- 1 until motif.m) {
-      val (a, b) = motif.edges(step)
-      df = df.join(qAlias(step), col(vcol(a)) === col(s"_qa$step"))
-      df =
-        if (bound(b)) df.where(col(s"_qb$step") === col(vcol(b))).drop(s"_qa$step", s"_qb$step")
-        else { bound += b; df.withColumn(vcol(b), col(s"_qb$step")).drop(s"_qa$step", s"_qb$step") }
-      // consecutive temporal ordering + running duration bound (δ)
-      df = df.where(col(s"te${step - 1}") < col(s"ts$step") &&
-                    col(s"te$step") - col("ts0") <= delta)
-    }
-    val vids = motif.vertexIds
-    val distinctness = for { i <- vids; j <- vids if i < j } yield col(vcol(i)) =!= col(vcol(j))
-    df = df.where(distinctness.reduceOption(_ && _).getOrElse(lit(true)))
-
+    val q = quintuples(spark, edges, delta, phi).toDF()
     val m = motif.m
-    val rows = df.select(
-      array(vids.map(i => col(vcol(i))): _*).as("vs"),
-      array((0 until m).map(i => col(s"ts$i")): _*).as("ts"),
-      array((0 until m).map(i => col(s"te$i")): _*).as("te"),
-      array((0 until m).map(i => col(s"f$i")): _*).as("fs")
-    ).as[BaselineRow]
-
-    // The full series per motif edge, for the maximality filter, from the broadcast G_T.
-    rows
-      .filter { r =>
-        val g = gt.value
-        val series = motif.edges.map { case (a, b) => g.series(g.pairsOf(r.vs(a)).find(g.dst(_) == r.vs(b)).get, 0) }
-        isMaximal(r, series, delta)
-      }
-      .map(r => InstanceRow(r.vs, r.fs.min, r.ts.head, r.te.last, Seq.empty))
-  }
-
-  /** Maximality of a joined candidate w.r.t. the full per-edge series
-    * (`series(i)` is motif edge i's): no interaction of edge i or i+1 falls
-    * strictly between consecutive edge-set extents, no e_1 interaction could
-    * be prepended within δ of the instance end, and no e_m interaction could
-    * be appended within δ of the instance start. Runs are contiguous by
-    * construction, so these boundary conditions are exactly Definition 3.3.
-    */
-  private[baseline] def isMaximal(r: BaselineRow, series: Seq[IndexedSeq[TF]], delta: Long): Boolean = {
-    val m = r.ts.length
-    val tEnd = r.te(m - 1)
-    val tStart = r.ts.head
-    val noPrefix = !series.head.exists(x => x.t >= tEnd - delta && x.t < tStart)
-    val noSuffix = !series(m - 1).exists(x => x.t > tEnd && x.t <= tStart + delta)
-    val noGaps = (0 until m - 1).forall { i =>
-      val lo = r.te(i); val hi = r.ts(i + 1)
-      !series(i).exists(x => x.t > lo && x.t < hi) &&
-      !series(i + 1).exists(x => x.t > lo && x.t < hi)
+    def c(name: String, i: Int): Column = col(s"$name$i")
+    def edge(i: Int) = q.select(q.columns.toSeq.map(n => col(n).as(s"$n$i")): _*)
+    // Motif edge i joins spanning-path position i to position i + 1.
+    val joined = (1 until m).foldLeft(edge(0))((df, i) => df.join(edge(i), c("dst", i - 1) === c("src", i)))
+    val pos = (0 until m).map(c("src", _)) :+ c("dst", m - 1)
+    val shape = for (j <- 0 to m; k <- j + 1 to m) // cycle closure and vertex distinctness
+      yield if (motif.path(j) == motif.path(k)) pos(j) === pos(k) else pos(j) =!= pos(k)
+    val inOrder = (1 until m).map(i => c("te", i - 1) < c("ts", i) && c("te", i) - c("ts", 0) <= delta)
+    val noGaps = (1 until m).map { i =>
+      (c("next", i - 1).isNull || c("next", i - 1) >= c("ts", i)) &&
+      (c("prev", i).isNull || c("prev", i) <= c("te", i - 1))
     }
-    noPrefix && noSuffix && noGaps
+    val noPrefix = c("prev", 0).isNull || c("te", m - 1) - c("prev", 0) > delta
+    val noSuffix = c("next", m - 1).isNull || c("next", m - 1) - c("ts", 0) > delta
+    joined.where((shape ++ inOrder ++ noGaps :+ noPrefix :+ noSuffix).reduce(_ && _)).select(
+      array(motif.vertexIds.map(v => pos(motif.path.indexOf(v))): _*).as("vs"),
+      array_min(array((0 until m).map(c("f", _)): _*)).as("flow"),
+      c("ts", 0).as("tStart"), c("te", m - 1).as("tEnd"), typedLit(Seq.empty[Seq[TF]]).as("sets")
+    ).as[InstanceRow]
   }
 
   /** Number of maximal instances via the baseline pipeline. */

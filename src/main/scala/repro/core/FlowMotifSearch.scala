@@ -53,14 +53,15 @@ object FlowMotifSearch {
     * column and its value.
     */
   private[repro] def checkedRows(edges: DataFrame, extra: Column*): Array[Row] = {
-    for ((c, want) <- Seq("src" -> LongType, "dst" -> LongType, "t" -> LongType, "f" -> DoubleType)) {
+    val columns = Vector("src", "dst", "t", "f") // rows are read by position: the select fixes the order
+    for ((c, want) <- columns.zip(Seq(LongType, LongType, LongType, DoubleType))) {
       val got = edges.schema(c).dataType
       require(got == want, s"column $c must be ${want.simpleString}, got ${got.simpleString}")
     }
-    edges.select(Seq("src", "dst", "t", "f").map(col) ++ extra: _*).collect().map { r =>
-      val (s, d) = (StructuralMatcher.vertex(r, "src"), StructuralMatcher.vertex(r, "dst"))
-      for (c <- Seq("t", "f"))
-        require(!r.isNullAt(r.fieldIndex(c)), s"column $c must not be null, got $c=null on edge ($s, $d)")
+    edges.select(columns.map(col) ++ extra: _*).collect().map { r =>
+      val (s, d) = (StructuralMatcher.vertex(r, 0, "src"), StructuralMatcher.vertex(r, 1, "dst"))
+      for (i <- 2 to 3)
+        require(!r.isNullAt(i), s"column ${columns(i)} must not be null, got ${columns(i)}=null on edge ($s, $d)")
       Series.requireFlow(TF(r.getLong(2), r.getDouble(3)))
       r
     }

@@ -76,14 +76,13 @@ object LocalEnumerator {
     if (series.isEmpty || series.exists(_.isEmpty)) return
     val e1 = series.head
     val em = series.last
-    var prevEnd = Long.MinValue
+    var lo = 0 // the first R(e_m) element after the end of the last window kept
     for (a <- e1.indices) {
-      val we = e1(a).t + delta
-      // Skip rule: no R(e_m) element in (prevEnd, we] => only non-maximal instances.
-      val lo = Series.upperBound(em, prevEnd)
+      val we = if (e1(a).t > Long.MaxValue - delta) Long.MaxValue else e1(a).t + delta // saturated, never wraps
+      // Skip rule: no R(e_m) element in (previous end, we] => only non-maximal instances.
       if (lo < em.length && em(lo).t <= we) {
         visit(series, a, we)
-        prevEnd = we
+        lo = Series.upperBound(em, we)
       }
     }
   }
@@ -111,10 +110,10 @@ object LocalEnumerator {
       while (k < s.length && s(k).t <= windowEnd) {
         fsum += s(k).f
         val nIdx = Series.upperBound(next, s(k).t) // forced start of E_{i+1}
-        val nT = if (nIdx < next.length) next(nIdx).t else Long.MaxValue
-        val ownNextT = if (k + 1 < s.length) s(k + 1).t else Long.MaxValue
-        // Maximal cut: e_i's next element must not be addable to this prefix.
-        val maximalCut = !(ownNextT <= windowEnd && ownNextT < nT)
+        // Maximal cut: e_i's next element must not be addable to this prefix:
+        // it is past the window, or E_{i+1} starts no later than it.
+        val maximalCut = k + 1 == s.length || s(k + 1).t > windowEnd ||
+          nIdx < next.length && next(nIdx).t <= s(k + 1).t
         val flow = math.min(minSoFar, fsum)
         if (maximalCut && admit(flow)) { // prefix pruning (Algorithm 1 line 16)
           start(ei) = startIdx

@@ -60,5 +60,5 @@ object Series {
   }
 
   /** Index of the first element with `t > x` (strictly after `x`). */
-  def upperBound(s: IndexedSeq[TF], x: Long): Int = lowerBound(s, x + 1)
+  def upperBound(s: IndexedSeq[TF], x: Long): Int = if (x == Long.MaxValue) s.length else lowerBound(s, x + 1)
 }

@@ -32,7 +32,7 @@ object StructuralMatcher {
     */
   def matches(pairs: DataFrame, motif: Motif): DataFrame = {
     val rows = pairs.select("src", "dst").collect()
-    val index = Index.build(rows.map(vertex(_, "src")), rows.map(vertex(_, "dst")), new Array[Long](rows.length),
+    val index = Index.build(rows.map(vertex(_, 0, "src")), rows.map(vertex(_, 1, "dst")), new Array[Long](rows.length),
       Vector.empty)
     val out = search(pairs.sparkSession.sparkContext, index, motif)((_, vs, _) => Row.fromSeq(vs.toSeq))
     val schema = StructType(motif.vertexIds.map(i => StructField(vcol(i), LongType, nullable = false)))
@@ -64,9 +64,8 @@ object StructuralMatcher {
     }
   }
 
-  /** Column `column` of `r` as a vertex id; a null fails with the column's name. */
-  private[core] def vertex(r: Row, column: String): Long = {
-    val i = r.fieldIndex(column)
+  /** Field `i` of `r`, named `column`, as a vertex id; a null fails with the column's name. */
+  private[core] def vertex(r: Row, i: Int, column: String): Long = {
     require(!r.isNullAt(i), s"column $column must not be null, got $column=null")
     r.getLong(i)
   }

@@ -34,14 +34,28 @@ object TopKEnumerator {
       k: Int
   ): Vector[LocalInstance] = {
     requireK(k)
-    val heap = mutable.PriorityQueue.empty(order) // head: the worst of the k kept
-    def threshold: Double = if (heap.size >= k) heap.head.flow else Double.NegativeInfinity
-    LocalEnumerator.search(seriesIn, delta)(_ >= threshold) { found =>
-      val inst = found
-      if (heap.size < k) heap.enqueue(inst)
-      else if (order.lt(inst, heap.head)) { heap.dequeue(); heap.enqueue(inst) }
+    val best = new Best(k, order)
+    LocalEnumerator.search(seriesIn, delta)(f => !best.full || f >= best.worst.flow)(best.offer(_))
+    best.sorted
+  }
+
+  /** The up-to-k best of `items` under `ord`, best first. */
+  private[core] def best[A](items: Iterator[A], k: Int, ord: Ordering[A]): Vector[A] =
+    items.foldLeft(new Best(k, ord))(_ offer _).sorted
+
+  /** The up-to-k best items offered under `ord`, the one selection of the
+    * kernel and the merge. It holds no more than it was offered, so a large
+    * k allocates nothing up front.
+    */
+  private[core] final class Best[A](k: Int, ord: Ordering[A]) {
+    private val heap = mutable.PriorityQueue.empty(ord) // head: the worst of the k kept
+    def full: Boolean = heap.size >= k
+    def worst: A = heap.head // the k-th best once full
+    def offer(a: A): this.type = {
+      if (heap.size < k) heap.enqueue(a) else if (ord.lt(a, heap.head)) { heap.dequeue(); heap.enqueue(a) }
+      this
     }
-    heap.toVector.sorted(order)
+    def sorted: Vector[A] = heap.toVector.sorted(ord) // best first
   }
 
   /** The one check on k, made by the kernel and, before any Spark job, by

@@ -9,8 +9,10 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   * Each structural match computes its local top-k with the floating-threshold
   * enumerator (or its top-1 flow with the DP module) in the task that found
   * it; each task keeps its k best candidates and the driver merges them, so
-  * nothing is shuffled. Heap and merge share one total order, so tied flows
-  * give the same instances however the walk is split.
+  * nothing is shuffled. Heap and merge are one selection
+  * ([[TopKEnumerator.Best]]) under one total order, so tied flows give the
+  * same instances however the walk is split, and a large k allocates nothing
+  * up front.
   */
 object TopKSearch {
 
@@ -30,10 +32,12 @@ object TopKSearch {
   private[core] def topK(edges: DataFrame, motif: Motif, delta: Long, k: Int, slices: Int): Seq[InstanceRow] = {
     LocalEnumerator.requireDelta(delta)
     TopKEnumerator.requireK(k)
-    FlowMotifSearch.perMatch(edges, motif, slices) { (vs, series) =>
+    val ord = order // the tasks' copy: a closure that read `order` would capture this object
+    val perTask = FlowMotifSearch.perMatch(edges, motif, slices) { (vs, series) =>
       val v = vs.toSeq
       TopKEnumerator.topK(series, delta, k).map(FlowMotifSearch.instanceRow(v, _))
-    }.flatMap(identity).takeOrdered(k)(order).toSeq
+    }.mapPartitions(matches => Iterator.single(TopKEnumerator.best(matches.flatten, k, ord)))
+    TopKEnumerator.best(perTask.collect().iterator.flatten, k, ord)
   }
 
   /** [[TopKEnumerator.order]] with the vertices between flow and timestamps. */

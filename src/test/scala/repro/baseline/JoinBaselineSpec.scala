@@ -71,6 +71,23 @@ class JoinBaselineSpec extends SparkSpec {
       "edges" -> edges)
   }
 
+  test("quintuple prev and next are the pair's nearest interactions outside the run (oracle over SQL)") {
+    val ties = Vector(TestGraphs.Edge(1, 2, 7, 1.0), TestGraphs.Edge(1, 2, 7, 2.0), TestGraphs.Edge(1, 2, 9, 1.0))
+    val edges = TestGraphs.toDf(spark, TestGraphs.randomEdges(4, 30, 40, 5, seed = 36) ++ ties)
+    val q = JoinBaseline.quintuples(spark, edges, delta = 10, phi = 0.0).toDF()
+    def nearest(agg: String, cmp: String, bound: String) =
+      s"""(SELECT $agg(CAST(e.t AS BIGINT)) FROM edges e
+         |  WHERE e.src = q.src AND e.dst = q.dst AND CAST(e.t AS BIGINT) $cmp CAST(q.$bound AS BIGINT))""".stripMargin
+    Oracle.assertEquivalent(q.select("src", "dst", "ts", "te", "prev", "next"),
+      s"""SELECT CAST(q.src AS BIGINT) AS src, CAST(q.dst AS BIGINT) AS dst,
+         |       CAST(q.ts AS BIGINT) AS ts, CAST(q.te AS BIGINT) AS te,
+         |       ${nearest("max", "<", "ts")} AS prev, ${nearest("min", ">", "te")} AS next
+         |FROM q""".stripMargin,
+      "edges" -> edges, "q" -> q.select("src", "dst", "ts", "te"))
+    // The fixture's tie at t = 7 is some run's prev.
+    assert(q.where(col("src") === 1 && col("dst") === 2 && col("ts") === 9 && col("prev") === 7).count() > 0)
+  }
+
   test("quintuples respect the φ filter") {
     val edges = TestGraphs.toDf(spark, TestGraphs.randomEdges(4, 30, 40, 5, seed = 33))
     val all = JoinBaseline.quintuples(spark, edges, 10, phi = 0.0).collect()

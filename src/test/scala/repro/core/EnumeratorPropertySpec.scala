@@ -46,6 +46,18 @@ class EnumeratorPropertySpec extends AnyFunSuite {
     fast.foreach(i => assert(math.abs(bruteFlows(i.key) - i.flow) < 1e-9, s"seed=$seed flows"))
   }
 
+  test("at δ = Long.MaxValue every kernel answers as at δ = max t - min t (100 seeds)") {
+    for (seed <- 0 until 100) {
+      val rnd = new scala.util.Random(seed)
+      val series = randomSeries(rnd, rnd.nextInt(4) + 1)
+      val ts = series.flatten.map(_.t)
+      def answers(delta: Long) = (LocalEnumerator.enumerate(series, delta, 0.0).map(_.key),
+        LocalEnumerator.count(series, delta, 2.0), TopKEnumerator.topK(series, delta, 3).map(_.key),
+        MaxFlowDP.maxFlow(series, delta))
+      assert(answers(Long.MaxValue) == answers(ts.max - ts.min), s"seed=$seed")
+    }
+  }
+
   for (batch <- 0 until 25) {
     test(s"enumerator == brute force on random series (batch $batch, 20 seeds)") {
       for (s <- 0 until 20) checkCase(batch * 20 + s)

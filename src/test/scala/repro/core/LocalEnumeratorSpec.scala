@@ -136,6 +136,19 @@ class LocalEnumeratorSpec extends AnyFunSuite {
     ))
   }
 
+  test("a δ near Long.MaxValue saturates the window end instead of wrapping") {
+    val series = Vector(Vector(TF(10, 5)), Vector(TF(20, 5)))
+    assert(LocalEnumerator.count(series, Long.MaxValue - 5, 0) == 1)
+    assert(MaxFlowDP.maxFlow(series, Long.MaxValue - 5) == 5.0)
+    assert(Series.upperBound(Vector(TF(1, 1), TF(Long.MaxValue, 1)), Long.MaxValue) == 2)
+  }
+
+  test("timestamps Long.MinValue and Long.MaxValue are ordinary interaction times") {
+    assert(LocalEnumerator.count(Vector(Vector(TF(Long.MinValue, 1))), 0, 0) == 1)
+    val last = Vector(Vector(TF(Long.MaxValue - 1, 1), TF(Long.MaxValue, 1)))
+    assert(keys(LocalEnumerator.enumerate(last, 5, 0)) == Set(Vector(Vector(Long.MaxValue - 1, Long.MaxValue))))
+  }
+
   test("count agrees with enumerate") {
     for (seed <- 0 until 20) {
       val edges = TestGraphs.randomEdges(nNodes = 3, nEdges = 12, horizon = 25, maxFlow = 5, seed = seed)

@@ -108,6 +108,16 @@ class SearchBoundarySpec extends SparkSpec {
     }
   }
 
+  test("at δ = Long.MaxValue every entry point answers as at δ = max t - min t") {
+    val chain = Vector(TestGraphs.Edge(1, 2, 10, 5), TestGraphs.Edge(2, 3, 20, 5), TestGraphs.Edge(2, 3, 30, 1))
+    for (edges <- Seq(good, chain)) {
+      val (df, ts) = (TestGraphs.toDf(spark, edges), edges.map(_.t))
+      assert(FlowMotifSearch.countInstances(spark, df, motif, Long.MaxValue, 1.0) > 0)
+      for ((name, call) <- entryPoints)
+        assert(call(df, Long.MaxValue) == call(df, ts.max - ts.min), s"$name on ${edges.length} edges")
+    }
+  }
+
   test("count, top-k flows and DP top-1 do not depend on shuffle partitions or input order") {
     val conf = spark.conf
     val saved = conf.get("spark.sql.shuffle.partitions")

@@ -21,6 +21,14 @@ class TopKSearchSpec extends SparkSpec {
     }
   }
 
+  test("a k far above the instance count returns every instance, best first") {
+    val df = graph(51)
+    val all = FlowMotifSearch.instances(spark, df, MotifCatalog.M32, 15, 0.0).collect()
+    val top = TopKSearch.topK(spark, df, MotifCatalog.M32, 15, Int.MaxValue / 2 - 1)
+    assert(top.length == all.length && top.toSet == all.toSet)
+    assert(top.map(_.flow) == all.map(_.flow).sorted(Ordering[Double].reverse).toSeq)
+  }
+
   test("top-k across structural matches picks the global best, not a per-match best") {
     // Two disjoint chains; the better one must win for k=1.
     val edges = Vector(
