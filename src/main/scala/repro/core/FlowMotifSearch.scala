@@ -27,7 +27,8 @@ final case class InstanceRow(
   * P1 = [[StructuralMatcher]] (the spanning-path DFS over the broadcast `G_T`
   * [[Index]], which hands each match over as the pairs its edges traverse);
   * P2 = [[LocalEnumerator]] (Algorithm 1), run on each match inside the
-  * walk's own task by [[perMatch]], the one driver behind every search.
+  * walk's own task by [[perMatch]], the one driver behind every search and
+  * the join baseline's step 1.
   */
 object FlowMotifSearch {
 
@@ -35,7 +36,7 @@ object FlowMotifSearch {
     * that found it, over the [[Index]] of the edges' own flows. `vs` is reused
     * between matches, so `p2` must copy what it keeps.
     */
-  private[core] def perMatch[R: ClassTag](edges: DataFrame, motif: Motif)(
+  private[repro] def perMatch[R: ClassTag](edges: DataFrame, motif: Motif)(
       p2: (Array[Long], IndexedSeq[IndexedSeq[TF]]) => R
   ): RDD[R] = perMatch(edges, motif, edges.sparkSession.sparkContext.defaultParallelism)(p2)
 
@@ -59,9 +60,8 @@ object FlowMotifSearch {
       require(got == want, s"column $c must be ${want.simpleString}, got ${got.simpleString}")
     }
     edges.select(columns.map(col) ++ extra: _*).collect().map { r =>
-      val (s, d) = (StructuralMatcher.vertex(r, 0, "src"), StructuralMatcher.vertex(r, 1, "dst"))
-      for (i <- 2 to 3)
-        require(!r.isNullAt(i), s"column ${columns(i)} must not be null, got ${columns(i)}=null on edge ($s, $d)")
+      def edge = if (r.isNullAt(0) || r.isNullAt(1)) "" else s" on edge (${r.getLong(0)}, ${r.getLong(1)})"
+      for (i <- 0 to 3) require(!r.isNullAt(i), s"column ${columns(i)} must not be null, got ${columns(i)}=null$edge")
       Series.requireFlow(TF(r.getLong(2), r.getDouble(3)))
       r
     }

@@ -10,12 +10,13 @@ import org.apache.spark.sql.Row
   * destination; pair `p` goes to `dst(p)` and its series is positions
   * `lo(p) until lo(p + 1)` of `t` and of each flow vector `f(j)`. Flow vectors
   * differ only in their flows, so the timestamps are shared. Primitive arrays
-  * keep the broadcast small and its serialization at copy speed.
+  * keep the broadcast small and its serialization at copy speed. The CSR is
+  * private to `repro.core`: outside it, pairs are walked by [[StructuralMatcher.search]].
   */
 private[repro] final class Index private (
-    val keys: Array[Long],
+    private[core] val keys: Array[Long],
     off: Array[Int],
-    val dst: Array[Long],
+    private[core] val dst: Array[Long],
     lo: Array[Int],
     t: Array[Long],
     f: Array[Array[Double]]
@@ -25,13 +26,13 @@ private[repro] final class Index private (
   def pairs: Int = dst.length
 
   /** The pairs out of `v`, by binary search on `keys`; none if `v` has no out-edges. */
-  def pairsOf(v: Long): Range = {
+  private[core] def pairsOf(v: Long): Range = {
     val i = java.util.Arrays.binarySearch(keys, v)
     if (i < 0) Range(0, 0) else Range(off(i), off(i + 1))
   }
 
   /** `R(p)` under flow vector `j`: a view over the shared arrays, sorted by `(t, f(j))`. */
-  def series(p: Int, j: Int): IndexedSeq[TF] = new Index.SeriesView(t, f(j), lo(p), lo(p + 1))
+  private[core] def series(p: Int, j: Int): IndexedSeq[TF] = new Index.SeriesView(t, f(j), lo(p), lo(p + 1))
 
   /** The series of pairs `ps` under flow vector `j`, one per motif edge. */
   def seriesOf(ps: Array[Int], j: Int): IndexedSeq[IndexedSeq[TF]] = ArraySeq.unsafeWrapArray(ps.map(series(_, j)))
@@ -39,22 +40,16 @@ private[repro] final class Index private (
 
 private[repro] object Index {
 
-  /** The [[Index]] of [[FlowMotifSearch.checkedRows]] under flow vectors
-    * `flows` (`flows(j)(i)` is the flow of `rows(i)` in vector j).
-    */
-  def apply(rows: Array[Row], flows: IndexedSeq[Array[Double]]): Index =
-    build(rows.map(_.getLong(0)), rows.map(_.getLong(1)), rows.map(_.getLong(2)), flows)
-
-  /** The one-vector [[Index]], over the rows' own flows. */
-  def apply(rows: Array[Row]): Index = apply(rows, Vector(rows.map(_.getDouble(3))))
-
-  /** The one `G_T` builder, on the driver with no shuffle: self-loops dropped,
-    * row ids sorted once by `(src, dst, t)`, and each flow vector's flows then
-    * sorted within every run of equal `(src, dst, t)`. Series j is thus in the
+  /** The one `G_T` builder, on the driver with no shuffle, from the rows of
+    * [[FlowMotifSearch.checkedRows]] under flow vectors `flows` (`flows(j)(i)`
+    * is the flow of `rows(i)` in vector j): self-loops dropped, row ids sorted
+    * once by `(src, dst, t)`, and each flow vector's flows then sorted within
+    * every run of equal `(src, dst, t)`. Series j is thus in the
     * `(t, flows(j))` order `sort_array(struct(t, f))` gives on the graph with
     * those flows.
     */
-  def build(src: Array[Long], dst: Array[Long], t: Array[Long], flows: IndexedSeq[Array[Double]]): Index = {
+  def apply(rows: Array[Row], flows: IndexedSeq[Array[Double]]): Index = {
+    val (src, dst, t) = (rows.map(_.getLong(0)), rows.map(_.getLong(1)), rows.map(_.getLong(2)))
     val order = Array.range(0, src.length).filter(i => src(i) != dst(i)).sorted(new Ordering[Int] {
       def compare(a: Int, b: Int): Int = {
         val c = java.lang.Long.compare(src(a), src(b))
@@ -88,6 +83,9 @@ private[repro] object Index {
     }
     new Index(keys.result(), off.result(), dsts.result(), lo.result(), ts, fs)
   }
+
+  /** The one-vector [[Index]], over the rows' own flows. */
+  def apply(rows: Array[Row]): Index = apply(rows, Vector(rows.map(_.getDouble(3))))
 
   /** Series `lo until hi` of `(t, f)` as an [[IndexedSeq]], with no copy. */
   private final class SeriesView(t: Array[Long], f: Array[Double], lo: Int, hi: Int) extends IndexedSeq[TF] {

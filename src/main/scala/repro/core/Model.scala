@@ -11,8 +11,8 @@ final case class TF(t: Long, f: Double)
   * the overall span is at most δ and every set's flow sum is at least φ.
   */
 final case class LocalInstance(sets: Vector[Vector[TF]]) {
-  /** Instance flow (Equation 1): minimum flow sum over the edge-sets. */
-  def flow: Double = sets.iterator.map(_.iterator.map(_.f).sum).min
+  /** Instance flow (Equation 1): minimum flow sum over the edge-sets, summed once. */
+  val flow: Double = sets.iterator.map(_.iterator.map(_.f).sum).min
 
   /** Timestamp of the temporally first interaction in the instance. */
   def tStart: Long = sets.head.head.t

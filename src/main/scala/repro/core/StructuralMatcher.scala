@@ -5,6 +5,7 @@ import scala.reflect.ClassTag
 import org.apache.spark.SparkContext
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.{col, lit}
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 
 /** Phase P1 (Section 4): find every structural match of a motif's spanning
@@ -27,30 +28,28 @@ object StructuralMatcher {
 
   /** All structural matches. Output columns: `v0..v{numVertices-1}`, one row
     * per match, where `v{i}` is the graph vertex mapped to motif vertex `i`.
+    * The pairs are checked and read as edges `(src, dst, 0, 1.0)` by
+    * [[FlowMotifSearch.checkedRows]]; self-loops and repeats drop out.
     *
     * @param pairs distinct `(src, dst)` pairs of `G_T`, self-loops excluded
     */
   def matches(pairs: DataFrame, motif: Motif): DataFrame = {
-    val rows = pairs.select("src", "dst").collect()
-    val index = Index.build(rows.map(vertex(_, 0, "src")), rows.map(vertex(_, 1, "dst")), new Array[Long](rows.length),
-      Vector.empty)
-    val out = search(pairs.sparkSession.sparkContext, index, motif)((_, vs, _) => Row.fromSeq(vs.toSeq))
+    val sc = pairs.sparkSession.sparkContext
+    val rows = FlowMotifSearch.checkedRows(pairs.select(col("src"), col("dst"), lit(0L).as("t"), lit(1.0).as("f")))
+    val out = search(sc, Index(rows), motif, sc.defaultParallelism)((_, vs, _) => Row.fromSeq(vs.toSeq))
     val schema = StructType(motif.vertexIds.map(i => StructField(vcol(i), LongType, nullable = false)))
     pairs.sparkSession.createDataFrame(out, schema)
   }
 
-  /** Every structural match of `motif` over `index`, one `out(gt, vs, ps)` per
-    * match, where `gt` is the executor's copy of the index: `vs(i)` is the
-    * graph vertex bound to motif vertex `i`, `ps(i)` is the pair motif edge
-    * `i+1` traverses. Both arrays are reused between calls, so `out` must copy
-    * what it keeps.
+  /** Every structural match of `motif` over `index`, its start vertices split
+    * over `slices` tasks: one `out(gt, vs, ps)` per match, where `gt` is the
+    * executor's copy of the index, `vs(i)` is the graph vertex bound to motif
+    * vertex `i` and `ps(i)` is the pair motif edge `i+1` traverses. Both
+    * arrays are reused between calls, so `out` must copy what it keeps. This
+    * is the one walk of `G_T` (every search, the study, [[matches]] and the
+    * join baseline's step 1) and holds the library's only broadcast.
     */
-  private[repro] def search[R: ClassTag](sc: SparkContext, index: Index, motif: Motif)(
-      out: (Index, Array[Long], Array[Int]) => R
-  ): RDD[R] = search(sc, index, motif, sc.defaultParallelism)(out)
-
-  /** [[search]] with the start vertices split over `slices` tasks. */
-  private[core] def search[R: ClassTag](sc: SparkContext, index: Index, motif: Motif, slices: Int)(
+  private[repro] def search[R: ClassTag](sc: SparkContext, index: Index, motif: Motif, slices: Int)(
       out: (Index, Array[Long], Array[Int]) => R
   ): RDD[R] = {
     val gt = sc.broadcast(index)
@@ -62,12 +61,6 @@ object StructuralMatcher {
         found
       }
     }
-  }
-
-  /** Field `i` of `r`, named `column`, as a vertex id; a null fails with the column's name. */
-  private[core] def vertex(r: Row, i: Int, column: String): Long = {
-    require(!r.isNullAt(i), s"column $column must not be null, got $column=null")
-    r.getLong(i)
   }
 
   /** The DFS along the spanning path from one start vertex. Motif vertices

@@ -96,6 +96,31 @@ class SearchBoundarySpec extends SparkSpec {
     }
   }
 
+  test("matches checks its pair column types before any Spark job runs") {
+    val pairs = TimeSeriesGraph.pairs(TestGraphs.toDf(spark, good))
+    for (column <- Seq("src", "dst"); tpe <- Seq("int", "string"))
+      rejectedBeforeAnyJob(s"matches-column-type-$column-$tpe", s"column $column must be bigint, got $tpe") {
+        StructuralMatcher.matches(pairs.withColumn(column, col(column).cast(tpe)), motif)
+      }
+  }
+
+  test("timestamps spanning more than Long.MaxValue: the baseline counts as the search, nothing throws") {
+    import TestGraphs.Edge
+    val probe = TestGraphs.toDf(spark, Vector(Edge(1, 2, Long.MinValue, 1.0), Edge(2, 3, Long.MaxValue, 1.0)))
+    val nearMax = TestGraphs.toDf(spark, Vector(Edge(1, 2, Long.MaxValue - 5, 1.0), Edge(2, 3, Long.MaxValue, 1.0)))
+    val onePair = TestGraphs.toDf(spark, Vector(Edge(1, 2, Long.MinValue, 1.0), Edge(1, 2, Long.MaxValue, 1.0)))
+    for (d <- Seq(0L, 10L, Long.MaxValue)) {
+      val search = FlowMotifSearch.countInstances(spark, probe, motif, d, 0.5)
+      assert(JoinBaseline.count(spark, probe, motif, d, 0.5) == search, s"δ = $d")
+      for ((_, call) <- entryPoints) call(probe, d)
+      // Every span on the pair is 0 or 2^64 - 1, so only the one-timestamp runs are within δ.
+      val runs = JoinBaseline.quintuples(spark, onePair, d, 0.5).collect().map(q => (q.ts, q.te)).sorted.toSeq
+      assert(runs == Seq((Long.MinValue, Long.MinValue), (Long.MaxValue, Long.MaxValue)), s"δ = $d")
+    }
+    assert(FlowMotifSearch.countInstances(spark, nearMax, motif, 10, 0.5) == 1)
+    assert(JoinBaseline.count(spark, nearMax, motif, 10, 0.5) == 1)
+  }
+
   test("topK rejects k < 1 before any Spark job runs") {
     rejectedBeforeAnyJob("k-zero", "k must be >= 1, got 0") {
       TopKSearch.topK(spark, TestGraphs.toDf(spark, good), motif, 10L, 0)
