@@ -1,8 +1,11 @@
 package repro.core
 
+import scala.collection.mutable.ArrayBuilder
 import scala.reflect.ClassTag
+import org.apache.spark.TaskContext
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{Column, DataFrame, Dataset, Row, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{DoubleType, LongType}
 
@@ -44,27 +47,39 @@ object FlowMotifSearch {
   private[core] def perMatch[R: ClassTag](edges: DataFrame, motif: Motif, slices: Int)(
       p2: (Array[Long], IndexedSeq[IndexedSeq[TF]]) => R
   ): RDD[R] =
-    StructuralMatcher.search(edges.sparkSession.sparkContext, Index(checkedRows(edges)), motif, slices)(
+    StructuralMatcher.search(edges.sparkSession.sparkContext, Index(checkedEdges(edges)), motif, slices)(
       (gt, vs, ps) => p2(vs, gt.seriesOf(ps, 0)))
 
-  /** The one flat collect every search starts from: columns `src, dst, t, f`,
-    * then `extra`. The column types are checked before the collect, and every
-    * row, self-loops included, as it is read, so a column of the wrong type, a
-    * null, or a flow that is not positive and finite fails here with the
-    * column and its value.
-    */
-  private[repro] def checkedRows(edges: DataFrame, extra: Column*): Array[Row] = {
-    val columns = Vector("src", "dst", "t", "f") // rows are read by position: the select fixes the order
-    for ((c, want) <- columns.zip(Seq(LongType, LongType, LongType, DoubleType))) {
-      val got = edges.schema(c).dataType
+  /** The one checked collect every search starts from: `src, dst, t, f`, then `extra`, sorted by
+    * `(src, dst, t, f)`. Column types are checked before any job; each task checks its partition's
+    * rows in order, self-loops included, and returns the first bad row's message or else its rows
+    * sorted. The driver throws the first message in partition order, or else merges the blocks. */
+  private[repro] def checkedEdges(edges: DataFrame, extra: Column*): Interactions = {
+    val cols = Vector("src", "dst", "t", "f") // rows are read by position: the select fixes the order
+    for ((c, want) <- cols.zip(Seq(LongType, LongType, LongType, DoubleType)); got = edges.schema(c).dataType)
       require(got == want, s"column $c must be ${want.simpleString}, got ${got.simpleString}")
-    }
-    edges.select(columns.map(col) ++ extra: _*).collect().map { r =>
-      def edge = if (r.isNullAt(0) || r.isNullAt(1)) "" else s" on edge (${r.getLong(0)}, ${r.getLong(1)})"
-      for (i <- 0 to 3) require(!r.isNullAt(i), s"column ${columns(i)} must not be null, got ${columns(i)}=null$edge")
-      Series.requireFlow(TF(r.getLong(2), r.getDouble(3)))
-      r
-    }
+    val extras = extra.length
+    val rows = edges.select(cols.map(col) ++ extra: _*).queryExecution.toRdd
+    // One job over the input's own partitions; this `runJob` cleans one closure, `collect()` two more of Spark's.
+    val blocks = edges.sparkSession.sparkContext.runJob(rows, (_: TaskContext, it: Iterator[InternalRow]) => {
+      val (src, dst, t) = (new ArrayBuilder.ofLong, new ArrayBuilder.ofLong, new ArrayBuilder.ofLong)
+      val (f, xs) = (new ArrayBuilder.ofDouble, Array.fill(extras)(new ArrayBuilder.ofDouble))
+      val bad = it.flatMap { r => // the first bad row's message, if any: reading stops there
+        def edge = if (r.isNullAt(0) || r.isNullAt(1)) "" else s" on edge (${r.getLong(0)}, ${r.getLong(1)})"
+        try {
+          for (i <- 0 to 3) require(!r.isNullAt(i), s"column ${cols(i)} must not be null, got ${cols(i)}=null$edge")
+          Series.requireFlow(TF(r.getLong(2), r.getDouble(3)))
+          src += r.getLong(0); dst += r.getLong(1); t += r.getLong(2); f += r.getDouble(3)
+          for (j <- xs.indices) xs(j) += r.getDouble(4 + j)
+          None
+        } catch { case e: IllegalArgumentException => Some(e.getMessage) }
+      }.nextOption()
+      val block = new Interactions(src.result(), dst.result(), t.result(), f.result(), xs.map(_.result()))
+      bad.toLeft(block.sorted(Array.range(0, block.length + 1)))
+    }, rows.partitions.indices).toSeq.map(_.fold(message => throw new IllegalArgumentException(message), identity))
+    def cat[A: ClassTag](column: Interactions => Array[A]) = Array.concat(blocks.map(column): _*)
+    new Interactions(cat(_.src), cat(_.dst), cat(_.t), cat(_.f), Array.tabulate(extras)(j => cat(_.extra(j))))
+      .sorted(blocks.scanLeft(0)(_ + _.length).toArray)
   }
 
   private[core] def instanceRow(vs: Seq[Long], inst: LocalInstance): InstanceRow =

@@ -1,7 +1,7 @@
 package repro.core
 
+import java.util.stream.IntStream
 import scala.collection.immutable.ArraySeq
-import org.apache.spark.sql.Row
 
 /** The time-series graph `G_T` as compressed sparse rows: the one `G_T` every
   * search, the study, the join baseline and the network statistics read.
@@ -40,52 +40,28 @@ private[repro] final class Index private (
 
 private[repro] object Index {
 
-  /** The one `G_T` builder, on the driver with no shuffle, from the rows of
-    * [[FlowMotifSearch.checkedRows]] under flow vectors `flows` (`flows(j)(i)`
-    * is the flow of `rows(i)` in vector j): self-loops dropped, row ids sorted
-    * once by `(src, dst, t)`, and each flow vector's flows then sorted within
-    * every run of equal `(src, dst, t)`. Series j is thus in the
-    * `(t, flows(j))` order `sort_array(struct(t, f))` gives on the graph with
-    * those flows.
+  /** The one `G_T` builder, on the driver with no shuffle, from the sorted
+    * interactions of [[FlowMotifSearch.checkedEdges]] under flow vectors
+    * `flows` (`flows(j)(i)` is interaction i's flow in vector j): self-loops
+    * dropped, and each vector's flows sorted within every run of equal
+    * `(src, dst, t)`, so series j is in the `(t, flows(j))` order
+    * `sort_array(struct(t, f))` gives on the graph with those flows.
     */
-  def apply(rows: Array[Row], flows: IndexedSeq[Array[Double]]): Index = {
-    val (src, dst, t) = (rows.map(_.getLong(0)), rows.map(_.getLong(1)), rows.map(_.getLong(2)))
-    val order = Array.range(0, src.length).filter(i => src(i) != dst(i)).sorted(new Ordering[Int] {
-      def compare(a: Int, b: Int): Int = {
-        val c = java.lang.Long.compare(src(a), src(b))
-        if (c != 0) c
-        else {
-          val d = java.lang.Long.compare(dst(a), dst(b))
-          if (d != 0) d else java.lang.Long.compare(t(a), t(b))
-        }
-      }
-    })
-    val (s, d, ts, n) = (order.map(src), order.map(dst), order.map(t), order.length)
-    val keys, dsts = Array.newBuilder[Long]
-    val off, lo = Array.newBuilder[Int]
-    for (k <- 0 until n) {
-      val newSrc = k == 0 || s(k) != s(k - 1)
-      if (newSrc) { keys += s(k); off += dsts.length }
-      if (newSrc || d(k) != d(k - 1)) { dsts += d(k); lo += k }
-    }
-    off += dsts.length
-    lo += n
-    val fs = flows.toArray.map { fj =>
-      val out = order.map(fj(_))
-      var a = 0
-      while (a < n) { // the sort left ties open only within runs of equal (src, dst, t)
-        var b = a + 1
-        while (b < n && ts(b) == ts(a) && d(b) == d(a) && s(b) == s(a)) b += 1
-        java.util.Arrays.sort(out, a, b)
-        a = b
-      }
-      out
-    }
-    new Index(keys.result(), off.result(), dsts.result(), lo.result(), ts, fs)
+  def apply(edges: Interactions, flows: IndexedSeq[Array[Double]]): Index = {
+    def starts(n: Int)(newRun: Int => Boolean) = IntStream.range(0, n).filter(k => k == 0 || newRun(k)).toArray
+    val kept = IntStream.range(0, edges.length).filter(i => edges.src(i) != edges.dst(i)).toArray
+    val e = new Interactions(edges.src, edges.dst, edges.t, edges.f, flows.toArray).take(kept)
+    val (s, d, ts, n) = (e.src, e.dst, e.t, e.length)
+    val lo = starts(n)(k => s(k) != s(k - 1) || d(k) != d(k - 1)) // each pair's first interaction
+    val off = starts(lo.length)(p => s(lo(p)) != s(lo(p - 1))) // each source's first pair
+    val runs = starts(n)(k => s(k) != s(k - 1) || d(k) != d(k - 1) || ts(k) != ts(k - 1)) :+ n // equal (src, dst, t)
+    for (out <- e.extra; r <- 0 until runs.length - 1) java.util.Arrays.sort(out, runs(r), runs(r + 1))
+    val keys = java.util.Arrays.stream(off).mapToLong(p => s(lo(p))).toArray
+    new Index(keys, off :+ lo.length, java.util.Arrays.stream(lo).mapToLong(d(_)).toArray, lo :+ n, ts, e.extra)
   }
 
-  /** The one-vector [[Index]], over the rows' own flows. */
-  def apply(rows: Array[Row]): Index = apply(rows, Vector(rows.map(_.getDouble(3))))
+  /** The one-vector [[Index]], over the interactions' own flows. */
+  def apply(edges: Interactions): Index = apply(edges, Vector(edges.f))
 
   /** Series `lo until hi` of `(t, f)` as an [[IndexedSeq]], with no copy. */
   private final class SeriesView(t: Array[Long], f: Array[Double], lo: Int, hi: Int) extends IndexedSeq[TF] {

@@ -29,14 +29,14 @@ object StructuralMatcher {
   /** All structural matches. Output columns: `v0..v{numVertices-1}`, one row
     * per match, where `v{i}` is the graph vertex mapped to motif vertex `i`.
     * The pairs are checked and read as edges `(src, dst, 0, 1.0)` by
-    * [[FlowMotifSearch.checkedRows]]; self-loops and repeats drop out.
+    * [[FlowMotifSearch.checkedEdges]]; self-loops and repeats drop out.
     *
     * @param pairs distinct `(src, dst)` pairs of `G_T`, self-loops excluded
     */
   def matches(pairs: DataFrame, motif: Motif): DataFrame = {
     val sc = pairs.sparkSession.sparkContext
-    val rows = FlowMotifSearch.checkedRows(pairs.select(col("src"), col("dst"), lit(0L).as("t"), lit(1.0).as("f")))
-    val out = search(sc, Index(rows), motif, sc.defaultParallelism)((_, vs, _) => Row.fromSeq(vs.toSeq))
+    val e = FlowMotifSearch.checkedEdges(pairs.select(col("src"), col("dst"), lit(0L).as("t"), lit(1.0).as("f")))
+    val out = search(sc, Index(e), motif, sc.defaultParallelism)((_, vs, _) => Row.fromSeq(vs.toSeq))
     val schema = StructType(motif.vertexIds.map(i => StructField(vcol(i), LongType, nullable = false)))
     pairs.sparkSession.createDataFrame(out, schema)
   }

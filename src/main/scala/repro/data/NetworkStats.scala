@@ -14,8 +14,9 @@ object NetworkStats {
     * and a NaN average.
     */
   def stats(edges: DataFrame): Stats = {
-    val rows = FlowMotifSearch.checkedRows(edges)
-    val nodes = rows.iterator.flatMap(r => Iterator(r.getLong(0), r.getLong(1))).toSet.size
-    Stats(nodes, Index(rows).pairs, rows.length, rows.iterator.map(_.getDouble(3)).sum / rows.length)
+    val e = FlowMotifSearch.checkedEdges(edges)
+    val ends = Array.concat(e.src, e.dst).sorted
+    val nodes = java.util.stream.IntStream.range(0, ends.length).filter(i => i == 0 || ends(i) != ends(i - 1)).count()
+    Stats(nodes, Index(e).pairs, e.length, e.f.sum / e.length)
   }
 }

@@ -3,7 +3,7 @@ package repro.data
 import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.rand
-import repro.core.FlowMotifSearch
+import repro.core.{FlowMotifSearch, Interactions}
 
 /** Randomization for the significance study (Section 6.3): keep the graph
   * structure and every timestamp fixed, and re-assign the multiset of flow
@@ -13,35 +13,34 @@ import repro.core.FlowMotifSearch
   */
 object Randomizer {
 
-  /** Permute the `f` column across all interaction rows: the rows of
+  /** Permute the `f` column across all interaction rows: the interactions of
     * [[flowVectors]]`(edges, seed, 1)` with flow vector 1.
     */
   def permuteFlows(edges: DataFrame, seed: Long): DataFrame = {
-    val (rows, flows) = flowVectors(edges, seed, 1)
-    val permuted = rows.indices.map(i => Row(rows(i).get(0), rows(i).get(1), rows(i).get(2), flows(1)(i)))
+    val (e, flows) = flowVectors(edges, seed, 1)
+    val permuted = (0 until e.length).map(i => Row(e.src(i), e.dst(i), e.t(i), flows(1)(i)))
     edges.sparkSession.createDataFrame(permuted.asJava, edges.select("src", "dst", "t", "f").schema)
   }
 
-  /** The checked rows of `edges` ([[FlowMotifSearch.checkedRows]]) and, drawn
-    * on the driver, flow vector 0 (each row's own flow) and vector r + 1 (its
-    * flow under permutation `seed + r`). Permutation `s` gives the row of rank
-    * i by `(rand(s), src, dst, t)` the flow of rank i by `(rand(s + 1), f)`.
-    * Spark seeds `rand(s)` with `s + partitionIndex`, so the permutation
+  /** The checked interactions of `edges` ([[FlowMotifSearch.checkedEdges]])
+    * and, drawn on the driver, flow vector 0 (each interaction's own flow) and
+    * vector r + 1 (its flow under permutation `seed + r`). Permutation `s`
+    * gives the interaction of rank i by `(rand(s), src, dst, t)` the flow of
+    * rank i by `(rand(s + 1), f)`. Spark seeds `rand(s)` with
+    * `s + partitionIndex` in the input's own partitions, so the permutation
     * depends on how `edges` is partitioned.
     */
-  private[repro] def flowVectors(edges: DataFrame, seed: Long, n: Int): (Array[Row], IndexedSeq[Array[Double]]) = {
-    import Ordering.Double.TotalOrdering
-    val rows = FlowMotifSearch.checkedRows(edges, (0 to n).map(r => rand(seed + r)): _*)
-    def ranked[K: Ordering](key: Row => K): Array[Int] =
-      rows.indices.map(i => (key(rows(i)), i)).sortBy(_._1).map(_._2).toArray
-    val own = rows.map(_.getDouble(3))
+  private[repro] def flowVectors(edges: DataFrame, seed: Long, n: Int): (Interactions, IndexedSeq[Array[Double]]) = {
+    val e = FlowMotifSearch.checkedEdges(edges, (0 to n).map(r => rand(seed + r)): _*)
+    def rank(x: Array[Double], ties: (Int, Int) => Int) = Interactions.argsort(Array.range(0, e.length + 1))(
+      (a, b) => if (x(a) != x(b)) java.lang.Double.compare(x(a), x(b)) else ties(a, b))
     val permuted = (0 until n).map { r =>
-      val byRow = ranked(x => (x.getDouble(4 + r), x.getLong(0), x.getLong(1), x.getLong(2)))
-      val byFlow = ranked(x => (x.getDouble(5 + r), x.getDouble(3)))
-      val f = new Array[Double](rows.length)
-      for (i <- rows.indices) f(byRow(i)) = own(byFlow(i))
+      val byRow = rank(e.extra(r), e.compare)
+      val byFlow = rank(e.extra(r + 1), (a, b) => java.lang.Double.compare(e.f(a), e.f(b)))
+      val f = new Array[Double](e.length)
+      for (i <- 0 until e.length) f(byRow(i)) = e.f(byFlow(i))
       f
     }
-    (rows, own +: permuted)
+    (e, e.f +: permuted)
   }
 }

@@ -11,10 +11,9 @@ import repro.data.InteractionGen
   */
 class IndexSpec extends SparkSpec {
 
-  private def index(df: DataFrame, flows: Array[Row] => IndexedSeq[Array[Double]] = rows =>
-      Vector(rows.map(_.getDouble(3)))): Index = {
-    val rows = FlowMotifSearch.checkedRows(df)
-    Index(rows, flows(rows))
+  private def index(df: DataFrame, flows: Interactions => IndexedSeq[Array[Double]] = e => Vector(e.f)): Index = {
+    val e = FlowMotifSearch.checkedEdges(df)
+    Index(e, flows(e))
   }
 
   /** `TimeSeriesGraph.build`'s series per pair. */
@@ -41,6 +40,20 @@ class IndexSpec extends SparkSpec {
     }
   }
 
+  test("the index does not depend on input partitioning or order") {
+    // Repeated (src, dst, t) with distinct flows, and self-loops.
+    val rnd = new scala.util.Random(5)
+    val edges = Vector.fill(200)(TestGraphs.Edge(rnd.nextInt(6), rnd.nextInt(6), rnd.nextInt(10), rnd.nextInt(4) + 1))
+    // Vector 1 is a function of each interaction that reorders runs of equal (src, dst, t).
+    def flows(e: Interactions) = Vector(e.f, Array.tabulate(e.length)(i => 5 - e.f(i)))
+    def contents(gt: Index) =
+      (gt.pairs, (0L to 6L).map(v => gt.pairsOf(v).map(gt.dst(_))), (0 to 1).map(seriesByPair(gt, _)))
+    val expected = contents(index(TestGraphs.toDf(spark, edges), flows))
+    for (es <- Seq(edges, rnd.shuffle(edges)); p <- Seq(1, 4, 7))
+      assert(contents(index(spark.createDataFrame(spark.sparkContext.parallelize(es, p)), flows)) == expected,
+        s"$p partitions")
+  }
+
   test("a vertex with only in-edges gives no pairs") {
     val gt = index(TestGraphs.toDf(spark, TestGraphs.fig2Edges :+ TestGraphs.Edge(2, 9, 20, 1.0)))
     assert(gt.pairsOf(9).isEmpty)
@@ -57,29 +70,28 @@ class IndexSpec extends SparkSpec {
   }
 
   test("series j equals TimeSeriesGraph.build of the graph that carries flow vector j") {
-    // Pair (1, 2) repeats t = 5 three times; vector 1 reverses every row's flow.
+    // Pair (1, 2) repeats t = 5 three times; vector 1 reverses the flows of the sorted interactions.
     val edges = Vector(TestGraphs.Edge(1, 2, 5, 3.0), TestGraphs.Edge(1, 2, 5, 1.0), TestGraphs.Edge(1, 2, 8, 4.0),
       TestGraphs.Edge(1, 2, 5, 2.0), TestGraphs.Edge(2, 3, 7, 5.0), TestGraphs.Edge(3, 3, 7, 6.0))
     val df = TestGraphs.toDf(spark, edges)
-    val rows = FlowMotifSearch.checkedRows(df)
-    val flows = Vector(rows.map(_.getDouble(3)), rows.map(_.getDouble(3)).reverse)
+    val e = FlowMotifSearch.checkedEdges(df)
+    val flows = Vector(e.f, e.f.reverse)
     val gt = index(df, _ => flows)
     for (j <- flows.indices) {
-      val carrying = rows.indices.map(i =>
-        TestGraphs.Edge(rows(i).getLong(0), rows(i).getLong(1), rows(i).getLong(2), flows(j)(i)))
+      val carrying = (0 until e.length).map(i => TestGraphs.Edge(e.src(i), e.dst(i), e.t(i), flows(j)(i)))
       assert(seriesByPair(gt, j) == reference(TestGraphs.toDf(spark, carrying)), s"vector $j")
     }
-    assert(gt.series(gt.pairsOf(1).head, 1) == Seq(TF(5, 4.0), TF(5, 5.0), TF(5, 6.0), TF(8, 2.0)))
+    assert(gt.series(gt.pairsOf(1).head, 1) == Seq(TF(5, 4.0), TF(5, 5.0), TF(5, 6.0), TF(8, 3.0)))
   }
 
   test("the Java-serialized index of bitcoinLike(sf 0.25) takes at most 32 B per interaction") {
     // Spark's default broadcast Java-serializes the index once per search.
-    val rows = FlowMotifSearch.checkedRows(InteractionGen.bitcoinLike(spark, 0.25, seed = 42))
+    val e = FlowMotifSearch.checkedEdges(InteractionGen.bitcoinLike(spark, 0.25, seed = 42))
     val bytes = new ByteArrayOutputStream()
     val out = new ObjectOutputStream(bytes)
-    out.writeObject(Index(rows))
+    out.writeObject(Index(e))
     out.close()
-    val perRow = bytes.size.toDouble / rows.length
-    assert(perRow <= 32, f"$perRow%.1f B per interaction over ${rows.length} interactions")
+    val perRow = bytes.size.toDouble / e.length
+    assert(perRow <= 32, f"$perRow%.1f B per interaction over ${e.length} interactions")
   }
 }

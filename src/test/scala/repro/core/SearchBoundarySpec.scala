@@ -96,6 +96,27 @@ class SearchBoundarySpec extends SparkSpec {
     }
   }
 
+  test("the first bad row in partition order is the one reported, self-loops included") {
+    /** One input partition per argument, each with the rows in the order given. */
+    def partitioned(parts: Seq[Row]*): DataFrame =
+      spark.createDataFrame(spark.sparkContext.parallelize(parts, parts.length).flatMap(identity), schema)
+    val rows = good.map(e => Row(e.src, e.dst, e.t, e.f))
+    val (lowF, nullSrc) = (Row(1L, 2L, 5L, -1.0), Row(null, 2L, 5L, 1.0))
+    val loops = Seq(Row(3L, 3L, 4L, 1.0), Row(3L, 3L, null, 1.0), Row(4L, 4L, 6L, 2.0))
+    val cases = Seq(
+      partitioned(rows.take(10), rows.slice(10, 20) :+ lowF, nullSrc +: rows.drop(20)) ->
+        "requirement failed: column f must be positive and finite, got f=-1.0 at t=5",
+      partitioned(rows.take(10), rows.slice(10, 20) :+ nullSrc, lowF +: rows.drop(20)) ->
+        "requirement failed: column src must not be null, got src=null",
+      partitioned(rows.take(20) ++ loops, rows.drop(20) :+ lowF) ->
+        "requirement failed: column t must not be null, got t=null on edge (3, 3)")
+    val calls = entryPoints :+ ("permuteFlows" -> ((e: DataFrame, _: Long) => Randomizer.permuteFlows(e, 1)))
+    for ((df, message) <- cases; (name, call) <- calls) {
+      val e = intercept[IllegalArgumentException](call(df, 10L))
+      assert(e.getMessage == message, name)
+    }
+  }
+
   test("matches checks its pair column types before any Spark job runs") {
     val pairs = TimeSeriesGraph.pairs(TestGraphs.toDf(spark, good))
     for (column <- Seq("src", "dst"); tpe <- Seq("int", "string"))
