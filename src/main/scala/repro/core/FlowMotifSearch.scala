@@ -41,13 +41,8 @@ object FlowMotifSearch {
     */
   private[repro] def perMatch[R: ClassTag](edges: DataFrame, motif: Motif)(
       p2: (Array[Long], IndexedSeq[IndexedSeq[TF]]) => R
-  ): RDD[R] = perMatch(edges, motif, edges.sparkSession.sparkContext.defaultParallelism)(p2)
-
-  /** [[perMatch]] with P1's start vertices split over `slices` tasks. */
-  private[core] def perMatch[R: ClassTag](edges: DataFrame, motif: Motif, slices: Int)(
-      p2: (Array[Long], IndexedSeq[IndexedSeq[TF]]) => R
   ): RDD[R] =
-    StructuralMatcher.search(edges.sparkSession.sparkContext, Index(checkedEdges(edges)), motif, slices)(
+    StructuralMatcher.search(edges.sparkSession.sparkContext, Index(checkedEdges(edges)), motif)(
       (gt, vs, ps) => p2(vs, gt.seriesOf(ps, 0)))
 
   /** The one checked collect every search starts from: `src, dst, t, f`, then `extra`, sorted by

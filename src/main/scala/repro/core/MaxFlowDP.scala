@@ -25,74 +25,64 @@ object MaxFlowDP {
       seriesIn: IndexedSeq[IndexedSeq[TF]],
       windowStart: Long,
       windowEnd: Long
-  ): (Vector[Long], Vector[Vector[Double]]) = sortedTable(Series.normalize(seriesIn), windowStart, windowEnd)
+  ): (Vector[Long], Vector[Vector[Double]]) = {
+    val (ts, table) = eq2(Series.normalize(seriesIn), windowStart, windowEnd)
+    (ts.toVector, table.map(_.toVector).toVector)
+  }
 
-  /** [[dpTable]] over series that are already normalized. */
-  private def sortedTable(
+  /** Top-1 instance flow over the whole structural match: Algorithm 2 applied
+    * to every window [[LocalEnumerator.windows]] keeps. A skipped window's
+    * instances are all dominated by extensions found in an earlier window, and
+    * extensions only gain flow. The series are checked once, by the window
+    * scan, not once per window. A kept window holds its anchor, so its grid is
+    * never empty.
+    */
+  def maxFlow(seriesIn: IndexedSeq[IndexedSeq[TF]], delta: Long): Double = {
+    var best = 0.0
+    LocalEnumerator.windows(seriesIn, delta) { (series, a, windowEnd) =>
+      best = math.max(best, eq2(series, series.head(a).t, windowEnd)._2.last.last)
+    }
+    best
+  }
+
+  /** Equation 2 over normalized series in `[windowStart, windowEnd]`: the
+    * grid `t_1..t_τ` and the matrix `flow(κ-1)(i)`, both read from each
+    * series' slice of the window.
+    */
+  private def eq2(
       series: IndexedSeq[IndexedSeq[TF]],
       windowStart: Long,
       windowEnd: Long
-  ): (Vector[Long], Vector[Vector[Double]]) = {
+  ): (Array[Long], Array[Array[Double]]) = {
     val m = series.length
-    val ts = series.flatten
-      .collect { case TF(t, _) if t >= windowStart && t <= windowEnd => t }
-      .distinct.sorted.toVector
+    val from = series.map(Series.lowerBound(_, windowStart))
+    val until = series.map(Series.upperBound(_, windowEnd))
+    val ts = (0 until m).flatMap(e => (from(e) until until(e)).map(series(e)(_).t)).distinct.sorted.toArray
     val tau = ts.length
-    if (tau == 0) return (ts, Vector.fill(m)(Vector.empty))
 
     // flowsum(e)(i) = cumulative flow of series(e) elements in [windowStart, ts(i)]
     val cum: Array[Array[Double]] = Array.tabulate(m) { e =>
       val s = series(e)
       val out = new Array[Double](tau)
       var acc = 0.0
-      var p = Series.lowerBound(s, windowStart)
+      var p = from(e)
       for (i <- 0 until tau) {
-        while (p < s.length && s(p).t <= ts(i)) { acc += s(p).f; p += 1 }
+        while (p < until(e) && s(p).t <= ts(i)) { acc += s(p).f; p += 1 }
         out(i) = acc
       }
       out
     }
-    // flow of series(e) elements in (ts(j-1), ts(i)] — i.e. [t_j, t_i] since
-    // timestamps are the discrete grid.
-    def rangeFlow(e: Int, j: Int, i: Int): Double =
-      cum(e)(i) - (if (j == 0) 0.0 else cum(e)(j - 1))
-
     val table = Array.ofDim[Double](m, tau)
-    for (i <- 0 until tau) table(0)(i) = cum(0)(i)
+    table(0) = cum(0)
     for (kappa <- 1 until m; i <- 0 until tau) {
       var best = 0.0
       var j = 1
-      while (j <= i) {
-        val v = math.min(table(kappa - 1)(j - 1), rangeFlow(kappa, j, i))
-        if (v > best) best = v
+      while (j <= i) { // cum(κ)(i) - cum(κ)(j-1): the flow of series(κ) in [t_j, t_i], timestamps being the grid
+        best = math.max(best, math.min(table(kappa - 1)(j - 1), cum(kappa)(i) - cum(kappa)(j - 1)))
         j += 1
       }
       table(kappa)(i) = best
     }
-    (ts, table.map(_.toVector).toVector)
-  }
-
-  /** Maximum instance flow in one window (0 when the window holds none). */
-  def windowMaxFlow(
-      series: IndexedSeq[IndexedSeq[TF]],
-      windowStart: Long,
-      windowEnd: Long
-  ): Double = lastCell(dpTable(series, windowStart, windowEnd))
-
-  private def lastCell(t: (Vector[Long], Vector[Vector[Double]])): Double =
-    if (t._1.isEmpty) 0.0 else t._2.last.last
-
-  /** Top-1 instance flow over the whole structural match: Algorithm 2 applied
-    * to every window [[LocalEnumerator.windows]] keeps. A skipped window's
-    * instances are all dominated by extensions found in an earlier window, and
-    * extensions only gain flow. The series are checked once, by the window
-    * scan, not once per window.
-    */
-  def maxFlow(seriesIn: IndexedSeq[IndexedSeq[TF]], delta: Long): Double = {
-    var best = 0.0
-    LocalEnumerator.windows(seriesIn, delta) { (series, a, windowEnd) =>
-      best = math.max(best, lastCell(sortedTable(series, series.head(a).t, windowEnd)))
-    }
-    best
+    (ts, table)
   }
 }

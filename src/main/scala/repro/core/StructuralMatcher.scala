@@ -23,9 +23,6 @@ import org.apache.spark.sql.types.{LongType, StructField, StructType}
   */
 object StructuralMatcher {
 
-  /** Column name for the graph vertex bound to motif vertex `i`. */
-  def vcol(i: Int): String = s"v$i"
-
   /** All structural matches. Output columns: `v0..v{numVertices-1}`, one row
     * per match, where `v{i}` is the graph vertex mapped to motif vertex `i`.
     * The pairs are checked and read as edges `(src, dst, 0, 1.0)` by
@@ -36,24 +33,25 @@ object StructuralMatcher {
   def matches(pairs: DataFrame, motif: Motif): DataFrame = {
     val sc = pairs.sparkSession.sparkContext
     val e = FlowMotifSearch.checkedEdges(pairs.select(col("src"), col("dst"), lit(0L).as("t"), lit(1.0).as("f")))
-    val out = search(sc, Index(e), motif, sc.defaultParallelism)((_, vs, _) => Row.fromSeq(vs.toSeq))
-    val schema = StructType(motif.vertexIds.map(i => StructField(vcol(i), LongType, nullable = false)))
+    val out = search(sc, Index(e), motif)((_, vs, _) => Row.fromSeq(vs.toSeq))
+    val schema = StructType(motif.vertexIds.map(i => StructField(s"v$i", LongType, nullable = false)))
     pairs.sparkSession.createDataFrame(out, schema)
   }
 
   /** Every structural match of `motif` over `index`, its start vertices split
-    * over `slices` tasks: one `out(gt, vs, ps)` per match, where `gt` is the
-    * executor's copy of the index, `vs(i)` is the graph vertex bound to motif
-    * vertex `i` and `ps(i)` is the pair motif edge `i+1` traverses. Both
-    * arrays are reused between calls, so `out` must copy what it keeps. This
-    * is the one walk of `G_T` (every search, the study, [[matches]] and the
-    * join baseline's step 1) and holds the library's only broadcast.
+    * over `sc.defaultParallelism` tasks: one `out(gt, vs, ps)` per match,
+    * where `gt` is the executor's copy of the index, `vs(i)` is the graph
+    * vertex bound to motif vertex `i` and `ps(i)` is the pair motif edge
+    * `i+1` traverses. Both arrays are reused between calls, so `out` must copy
+    * what it keeps. This is the one walk of `G_T` (every search, the study,
+    * [[matches]] and the join baseline's step 1) and holds the library's only
+    * broadcast. No answer may depend on how the walk is split.
     */
-  private[repro] def search[R: ClassTag](sc: SparkContext, index: Index, motif: Motif, slices: Int)(
+  private[repro] def search[R: ClassTag](sc: SparkContext, index: Index, motif: Motif)(
       out: (Index, Array[Long], Array[Int]) => R
   ): RDD[R] = {
     val gt = sc.broadcast(index)
-    sc.parallelize(index.keys.indices, slices).mapPartitions { it =>
+    sc.parallelize(index.keys.indices, sc.defaultParallelism).mapPartitions { it =>
       val g = gt.value
       it.flatMap { i =>
         val found = ArrayBuffer.empty[R]

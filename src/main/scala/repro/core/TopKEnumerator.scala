@@ -14,10 +14,15 @@ import scala.math.Ordering.Implicits.seqOrdering
 object TopKEnumerator {
 
   /** Top-k's one total order, best first: flow descending, then the edge-sets'
-    * timestamps (`tStart` first). [[TopKSearch]]'s merge breaks flow ties by
-    * the vertices first, so inside one match the two orders agree.
+    * timestamps (`tStart` first).
     */
   private[core] val order: Ordering[LocalInstance] = bestFirst[LocalInstance](_.flow)(Ordering.by(_.key))
+
+  /** [[order]] across matches, for the merge of [[TopKSearch.topK]]: the
+    * vertices break flow ties first, so inside one match the two agree.
+    */
+  private[core] val rowOrder: Ordering[InstanceRow] =
+    bestFirst[InstanceRow](_.flow)(Ordering.by(r => (r.vs, r.sets.map(_.map(_.t)))))
 
   /** Flow descending, then `tie`. */
   private[core] def bestFirst[A](flow: A => Double)(tie: Ordering[A]): Ordering[A] = new Ordering[A] {

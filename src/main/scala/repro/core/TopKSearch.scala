@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.math.Ordering.Implicits.seqOrdering
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Distributed top-k flow motif search (Section 5) and the DP-based top-1
@@ -16,9 +15,9 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   */
 object TopKSearch {
 
-  /** The k best maximal instances (φ = 0), best first: flow descending, ties
-    * broken by the vertices, then by the edge-sets' timestamps, so the answer
-    * does not depend on how the walk is split into tasks.
+  /** The k best maximal instances (φ = 0), best first under
+    * [[TopKEnumerator.rowOrder]]: flow descending, ties broken by the
+    * vertices, then by the edge-sets' timestamps.
     */
   def topK(
       spark: SparkSession,
@@ -26,22 +25,15 @@ object TopKSearch {
       motif: Motif,
       delta: Long,
       k: Int
-  ): Seq[InstanceRow] = topK(edges, motif, delta, k, spark.sparkContext.defaultParallelism)
-
-  /** [[topK]] with P1's start vertices split over `slices` tasks. */
-  private[core] def topK(edges: DataFrame, motif: Motif, delta: Long, k: Int, slices: Int): Seq[InstanceRow] = {
+  ): Seq[InstanceRow] = {
     LocalEnumerator.requireDelta(delta)
     TopKEnumerator.requireK(k)
-    val ord = order // the tasks' copy: a closure that read `order` would capture this object
-    val perTask = FlowMotifSearch.perMatch(edges, motif, slices) { (vs, series) =>
+    val perTask = FlowMotifSearch.perMatch(edges, motif) { (vs, series) =>
       val v = vs.toSeq
       TopKEnumerator.topK(series, delta, k).map(FlowMotifSearch.instanceRow(v, _))
-    }.mapPartitions(matches => Iterator.single(TopKEnumerator.best(matches.flatten, k, ord)))
-    TopKEnumerator.best(perTask.collect().iterator.flatten, k, ord)
+    }.mapPartitions(matches => Iterator.single(TopKEnumerator.best(matches.flatten, k, TopKEnumerator.rowOrder)))
+    TopKEnumerator.best(perTask.collect().iterator.flatten, k, TopKEnumerator.rowOrder)
   }
-
-  /** [[TopKEnumerator.order]] with the vertices between flow and timestamps. */
-  private val order = TopKEnumerator.bestFirst[InstanceRow](_.flow)(Ordering.by(r => (r.vs, r.sets.map(_.map(_.t)))))
 
   /** Top-1 instance flow via the dynamic-programming module (Algorithm 2). */
   def maxFlowDP(

@@ -31,7 +31,6 @@ object InteractionGen {
 
   /** Parameters of one synthetic network. */
   final case class Config(
-      name: String,
       nNodes: Long,
       nPairs: Long,
       nBackground: Long,
@@ -123,7 +122,6 @@ object InteractionGen {
     * (avg ≈ 4.8), cyclic planted flow common. Paper defaults: δ=600s, φ=5.
     */
   def bitcoinConfig(sf: Double = 1.0, seed: Long = 42): Config = Config(
-    name = "BitcoinLike",
     nNodes = math.max(70, (40000 * sf).toLong),
     nPairs = math.max(40, (26000 * sf).toLong),
     nBackground = math.max(60, (40000 * sf).toLong),
@@ -153,7 +151,6 @@ object InteractionGen {
     * Paper defaults: δ=600s, φ=3.
     */
   def facebookConfig(sf: Double = 1.0, seed: Long = 43): Config = Config(
-    name = "FacebookLike",
     nNodes = math.max(60, (12000 * sf).toLong),
     nPairs = math.max(30, (5200 * sf).toLong),
     nBackground = math.max(60, (19000 * sf).toLong),
@@ -179,7 +176,6 @@ object InteractionGen {
     * Paper defaults: δ=900s, φ=2.
     */
   def passengerConfig(sf: Double = 1.0, seed: Long = 44): Config = Config(
-    name = "PassengerLike",
     nNodes = 289,
     nPairs = math.max(30, (90 * sf).toLong),
     nBackground = math.max(60, (500 * sf).toLong),

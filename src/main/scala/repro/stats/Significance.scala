@@ -51,8 +51,7 @@ object Significance {
     require(nRandom >= 1, s"nRandom must be >= 1, got $nRandom")
     LocalEnumerator.requireDelta(delta)
     val (e, flows) = Randomizer.flowVectors(edges, seed, nRandom)
-    val sc = spark.sparkContext
-    val counts = StructuralMatcher.search(sc, Index(e, flows), motif, sc.defaultParallelism)(
+    val counts = StructuralMatcher.search(spark.sparkContext, Index(e, flows), motif)(
       (gt, _, ps) => Array.tabulate(nRandom + 1)(j => LocalEnumerator.count(gt.seriesOf(ps, j), delta, phi))
     ).fold(new Array[Long](nRandom + 1))((a, b) => a.lazyZip(b).map(_ + _))
     val (real, randomCounts) = (counts.head, counts.toVector.tail)

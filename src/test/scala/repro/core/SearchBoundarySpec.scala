@@ -6,7 +6,7 @@ import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
 import repro.{SparkSpec, TestGraphs}
 import repro.baseline.JoinBaseline
-import repro.data.Randomizer
+import repro.data.{NetworkStats, Randomizer}
 import repro.stats.Significance
 
 /** What every search entry point promises at its boundary: bad input fails
@@ -115,6 +115,16 @@ class SearchBoundarySpec extends SparkSpec {
       val e = intercept[IllegalArgumentException](call(df, 10L))
       assert(e.getMessage == message, name)
     }
+  }
+
+  test("an input without src or t is rejected before any Spark job runs, naming the column") {
+    val calls = entryPoints ++ Seq[(String, (DataFrame, Long) => Any)](
+      "permuteFlows" -> ((e, _) => Randomizer.permuteFlows(e, 1)),
+      "NetworkStats.stats" -> ((e, _) => NetworkStats.stats(e)))
+    for (column <- Seq("src", "t"); (name, call) <- calls)
+      rejectedBeforeAnyJob(s"missing-$column-$name", s"field `$column`") {
+        call(TestGraphs.toDf(spark, good).drop(column), 10L)
+      }
   }
 
   test("matches checks its pair column types before any Spark job runs") {

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
 import repro.{SparkSpec, TestGraphs}
 import repro.data.InteractionGen
 
@@ -40,13 +41,29 @@ class TopKSearchSpec extends SparkSpec {
     assert(top.head.flow == 50.0)
   }
 
-  test("tied top-k instances do not depend on how the walk is split into tasks") {
+  test("tied top-k instances are the first k instances under the merge's order") {
     // Facebook-like sf 1, M(4,3), δ = 600: the five best instances all have flow 12.0.
     val df = InteractionGen.facebookLike(spark, 1.0).cache()
-    val tops = Seq(1, 2, 4).map(n => TopKSearch.topK(df, MotifCatalog.M43, 600, 5, n))
-    assert(tops.head.map(_.flow) == Seq.fill(5)(12.0))
-    for ((top, n) <- tops.zip(Seq(1, 2, 4)).tail) assert(top == tops.head, s"$n slices")
+    val top = TopKSearch.topK(spark, df, MotifCatalog.M43, 600, 5)
+    val all = FlowMotifSearch.instances(spark, df, MotifCatalog.M43, 600, 0.0).collect()
+    assert(top.map(_.flow) == Seq.fill(5)(12.0))
+    assert(top == all.sorted(TopKEnumerator.rowOrder).take(5).toSeq)
     df.unpersist()
+  }
+
+  test("the merge's selection does not depend on how its input is grouped") {
+    // Rows that tie under the order are equal, so the k best are one answer.
+    val row = for (flow <- Gen.choose(1, 3); v <- Gen.choose(0L, 3L); t <- Gen.choose(0L, 3L))
+      yield InstanceRow(Seq(v, v + 1), flow.toDouble, t, t, Seq(Seq(TF(t, flow.toDouble))))
+    val grouped = for (all <- Gen.listOf(row); n <- Gen.choose(1, 8); cuts <- Gen.listOfN(n - 1, Gen.choose(0, all.length)))
+      yield (all, (0 +: cuts.sorted).zip(cuts.sorted :+ all.length).map { case (a, b) => all.slice(a, b) })
+    val ord = TopKEnumerator.rowOrder
+    val prop = Prop.forAll(grouped, Gen.choose(1, 10)) { case ((all, groups), k) =>
+      TopKEnumerator.best(groups.iterator.flatMap(g => TopKEnumerator.best(g.iterator, k, ord)), k, ord) ==
+        all.sorted(ord).take(k)
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(500), prop)
+    assert(result.passed, result.status)
   }
 
   test("DP max flow == top-1 flow from the heap-based search") {

@@ -14,8 +14,10 @@ class NetworkStatsSpec extends SparkSpec {
     StructField("src", LongType), StructField("dst", LongType),
     StructField("t", LongType), StructField("f", DoubleType)))
 
-  private def edges(rows: Row*): DataFrame =
-    spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
+  private def edges(rows: Row*): DataFrame = edges(rows, 2)
+
+  private def edges(rows: Seq[Row], partitions: Int): DataFrame =
+    spark.createDataFrame(spark.sparkContext.parallelize(rows, partitions), schema)
 
   test("a self-loop row is not counted in connectedPairs") {
     val s = NetworkStats.stats(edges(Row(1L, 2L, 5L, 1.0), Row(1L, 2L, 7L, 2.0), Row(3L, 3L, 6L, 3.0)))
@@ -26,6 +28,21 @@ class NetworkStatsSpec extends SparkSpec {
     val s = NetworkStats.stats(edges())
     assert((s.nodes, s.connectedPairs, s.edges) == (0L, 0L, 0L))
     assert(s.avgFlow.isNaN)
+  }
+
+  test("stats do not depend on input partitioning or order, avgFlow to the bit") {
+    val rnd = new scala.util.Random(12)
+    val rows = Vector.fill(3000)(Row(rnd.nextInt(60).toLong, rnd.nextInt(60).toLong, rnd.nextInt(400).toLong,
+      0.01 + 100 * rnd.nextDouble())) // repeated (src, dst, t) and self-loops included
+    val shuffled = new scala.util.Random(13).shuffle(rows)
+    def flowSum(rs: Seq[Row]) = rs.map(_.getDouble(3)).sum
+    assert(flowSum(rows) != flowSum(shuffled), "fixture: a sum in input order should differ by order")
+    val expected = NetworkStats.stats(edges(rows, 1))
+    for (rs <- Seq(rows, shuffled); p <- Seq(1, 4, 7)) {
+      val s = NetworkStats.stats(edges(rs, p))
+      assert(s == expected, s"$p partitions")
+      assert(java.lang.Double.doubleToRawLongBits(s.avgFlow) == java.lang.Double.doubleToRawLongBits(expected.avgFlow))
+    }
   }
 
   test("bad rows are rejected") {
