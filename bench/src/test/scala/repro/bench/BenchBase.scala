@@ -14,15 +14,9 @@ import repro.data.InteractionGen
 trait BenchBase extends SparkSpec {
   val benchSf: Double = sys.env.getOrElse("BENCH_SF", "1.0").toDouble
 
-  /** The paper's default (δ, φ) per dataset. */
-  private val paperDefaults = Map("bitcoin" -> (600L, 5.0), "facebook" -> (600L, 3.0),
-    "passenger" -> (900L, 2.0))
-
   /** The three datasets, by label, with their paper-default (δ, φ). */
-  lazy val datasets: Seq[(String, DataFrame, Long, Double)] = InteractionGen.labels.map {
-    case (name, label) =>
-      val (delta, phi) = paperDefaults(name)
-      (label, InteractionGen.byName(spark, name, benchSf).cache(), delta, phi)
+  lazy val datasets: Seq[(String, DataFrame, Long, Double)] = InteractionGen.networks.map { n =>
+    (n.label, InteractionGen.generate(spark, n.config(benchSf)).cache(), n.delta, n.phi)
   }
 
   def timed[A](body: => A): (A, Double) = {

@@ -15,13 +15,9 @@ import repro.data.InteractionGen
   */
 class Fig8JoinVsTwoPhaseBench extends BenchBase {
 
-  private lazy val denseDatasets = Seq(
-    ("Bitcoin-like", InteractionGen.bitcoinConfig(benchSf), 600L, 5.0),
-    ("Facebook-like", InteractionGen.facebookConfig(benchSf), 600L, 3.0),
-    ("Passenger-like", InteractionGen.passengerConfig(benchSf), 900L, 2.0)
-  ).map { case (name, cfg, d, p) =>
-    val dense = cfg.copy(nBackground = cfg.nBackground * 3)
-    (name, InteractionGen.generate(spark, dense).cache(), d, p)
+  private lazy val denseDatasets = InteractionGen.networks.map { n =>
+    val cfg = n.config(benchSf)
+    (n.label, InteractionGen.generate(spark, cfg.copy(nBackground = cfg.nBackground * 3)).cache(), n.delta, n.phi)
   }
 
   test("Figure 8: two-phase vs join algorithm runtimes") {

@@ -1,16 +1,13 @@
 package repro.bench
 
-import repro.data.NetworkStats
+import repro.jobs.Table3Job
 
-/** Paper Table 3: dataset statistics. */
+/** Paper Table 3: dataset statistics, computed and printed by [[Table3Job]]. */
 class Table3Bench extends BenchBase {
 
   test("Table 3: dataset statistics (paper values in EXPERIMENTS.md)") {
     banner("TABLE 3 — dataset statistics")
-    println(f"${"Dataset"}%-16s ${"#nodes"}%10s ${"#pairs"}%10s ${"#edges"}%10s ${"avgFlow"}%10s")
-    for ((name, df, _, _) <- datasets) {
-      val s = NetworkStats.stats(df)
-      println(f"$name%-16s ${s.nodes}%10d ${s.connectedPairs}%10d ${s.edges}%10d ${s.avgFlow}%10.3f")
+    for ((_, s) <- Table3Job.table(spark, benchSf)) {
       assert(s.nodes > 0 && s.edges > 0 && s.avgFlow > 0)
       assert(s.connectedPairs <= s.edges, "pairs cannot exceed multigraph edges")
     }

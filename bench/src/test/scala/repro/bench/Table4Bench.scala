@@ -1,35 +1,22 @@
 package repro.bench
 
-import repro.core.{MotifCatalog, StructuralMatcher, TimeSeriesGraph}
+import repro.jobs.Table4Job
 
-/** Paper Table 4: structural matches and phase-P1 runtime per motif/dataset. */
+/** Paper Table 4: structural matches and phase-P1 runtime per motif/dataset,
+  * computed and printed by [[Table4Job]].
+  */
 class Table4Bench extends BenchBase {
 
   test("Table 4: structural matches and P1 runtime") {
     banner("TABLE 4 — structural matches (phase P1) per motif")
-    val header = ("Dataset" +: MotifCatalog.all.map(_.name)).map(s => f"$s%-10s").mkString
-    println(header)
-    for ((name, df, _, _) <- datasets) {
-      val pairs = TimeSeriesGraph.pairs(df).cache()
-      pairs.count() // materialize the input; time only the matching
-
-      val counts = scala.collection.mutable.ArrayBuffer[Long]()
-      val times = scala.collection.mutable.ArrayBuffer[Double]()
-      for (m <- MotifCatalog.all) {
-        val (n, secs) = timed(StructuralMatcher.matches(pairs, m).count())
-        counts += n; times += secs
-      }
-      println((f"$name%-10s" +: counts.map(c => f"$c%-10d")).mkString + "  (matches)")
-      println((f"$name%-10s" +: times.map(t => f"$t%-10.2f")).mkString + "  (P1 sec)")
-
+    for ((_, rows) <- Table4Job.table(spark, benchSf)) {
       // Shape assertions from the paper's Table 4:
-      val byName = MotifCatalog.all.map(_.name).zip(counts).toMap
+      val byName = rows.map { case (motif, matches, _) => motif -> matches }.toMap
       assert(byName("M(3,2)") > 0, "2-edge chains must exist")
       assert(byName("M(5,4)") <= byName("M(3,2)"),
         "longer chains have no more structural matches (Table 4 shape)")
       assert(byName("M(3,3)") <= byName("M(3,2)"),
         "cycles are no more frequent than same-size chains")
-      pairs.unpersist()
     }
   }
 }

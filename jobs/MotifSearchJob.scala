@@ -7,18 +7,14 @@ import repro.data.InteractionGen
   * Usage: spark-submit ... repro.jobs.MotifSearchJob <bitcoin|facebook|passenger> <motif> <delta> <phi> [sf]
   */
 object MotifSearchJob {
-  def main(args: Array[String]): Unit = {
-    require(args.length >= 4, "args: <dataset> <motif> <delta> <phi> [sf]")
-    val Array(dataset, motifName, deltaS, phiS) = args.take(4)
-    val sf = args.lift(4).map(_.toDouble).getOrElse(1.0)
-    val spark = JobSession.create("MotifSearch")
-    try {
-      val edges = InteractionGen.byName(spark, dataset, sf)
-      val motif = MotifCatalog.byName(motifName)
-      val t0 = System.nanoTime()
-      val n = FlowMotifSearch.countInstances(spark, edges, motif, deltaS.toLong, phiS.toDouble)
-      println(f"dataset=$dataset motif=$motifName delta=$deltaS phi=$phiS " +
-        f"instances=$n time=${(System.nanoTime() - t0) / 1e9}%.2fs")
-    } finally spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobSession.launch("MotifSearchJob", "<bitcoin|facebook|passenger> <motif> <delta> <phi> [sf]", args) {
+      case (spark, Seq(dataset, motifName, deltaS, phiS), sf) =>
+        val edges = InteractionGen.byName(spark, dataset, sf)
+        val motif = MotifCatalog.byName(motifName)
+        val t0 = System.nanoTime()
+        val n = FlowMotifSearch.countInstances(spark, edges, motif, deltaS.toLong, phiS.toDouble)
+        println(f"dataset=$dataset motif=$motifName delta=$deltaS phi=$phiS " +
+          f"instances=$n time=${(System.nanoTime() - t0) / 1e9}%.2fs")
+    }
 }

@@ -44,8 +44,8 @@ object StructuralMatcher {
     * vertex bound to motif vertex `i` and `ps(i)` is the pair motif edge
     * `i+1` traverses. Both arrays are reused between calls, so `out` must copy
     * what it keeps. This is the one walk of `G_T` (every search, the study,
-    * [[matches]] and the join baseline's step 1) and holds the library's only
-    * broadcast. No answer may depend on how the walk is split.
+    * Table 4, [[matches]] and the join baseline's step 1) and holds the
+    * library's only broadcast. No answer may depend on how the walk is split.
     */
   private[repro] def search[R: ClassTag](sc: SparkContext, index: Index, motif: Motif)(
       out: (Index, Array[Long], Array[Int]) => R

@@ -119,7 +119,7 @@ object InteractionGen {
   }
 
   /** Bitcoin-like: sparse, rare parallel edges, heavy-tailed flows
-    * (avg ≈ 4.8), cyclic planted flow common. Paper defaults: δ=600s, φ=5.
+    * (avg ≈ 4.8), cyclic planted flow common.
     */
   def bitcoinConfig(sf: Double = 1.0, seed: Long = 42): Config = Config(
     nNodes = math.max(70, (40000 * sf).toLong),
@@ -148,7 +148,6 @@ object InteractionGen {
 
   /** Facebook-like: 30-second buckets, ~3-4 interactions per connected pair,
     * small-count flows (avg ≈ 3), chain-heavy planted propagation.
-    * Paper defaults: δ=600s, φ=3.
     */
   def facebookConfig(sf: Double = 1.0, seed: Long = 43): Config = Config(
     nNodes = math.max(60, (12000 * sf).toLong),
@@ -173,7 +172,6 @@ object InteractionGen {
 
   /** Passenger-like: exactly 289 zones, denser pair set, integer flows 1..6
     * (avg ≈ 1.9), planted chains only (acyclic movement dominates).
-    * Paper defaults: δ=900s, φ=2.
     */
   def passengerConfig(sf: Double = 1.0, seed: Long = 44): Config = Config(
     nNodes = 289,
@@ -201,18 +199,21 @@ object InteractionGen {
   def facebookLike(spark: SparkSession, sf: Double = 1.0, seed: Long = 43): DataFrame =
     generate(spark, facebookConfig(sf, seed))
 
-  def passengerLike(spark: SparkSession, sf: Double = 1.0, seed: Long = 44): DataFrame =
-    generate(spark, passengerConfig(sf, seed))
+  /** One of the paper's three networks: the name jobs take, the label tables
+    * print, its [[Config]] at a scale factor, and the paper's default (δ, φ).
+    */
+  final case class Network(name: String, label: String, config: Double => Config, delta: Long, phi: Double)
 
-  /** The three networks: the name [[byName]] takes, and the label tables print. */
-  val labels: Seq[(String, String)] =
-    Seq("bitcoin" -> "Bitcoin-like", "facebook" -> "Facebook-like", "passenger" -> "Passenger-like")
+  /** The three networks, in the order the paper's tables list them. */
+  val networks: Seq[Network] = Seq(
+    Network("bitcoin", "Bitcoin-like", bitcoinConfig(_), 600L, 5.0),
+    Network("facebook", "Facebook-like", facebookConfig(_), 600L, 3.0),
+    Network("passenger", "Passenger-like", passengerConfig(_), 900L, 2.0))
 
-  /** The synthetic network named on a job's command line. */
-  def byName(spark: SparkSession, name: String, sf: Double): DataFrame = name match {
-    case "bitcoin"   => bitcoinLike(spark, sf)
-    case "facebook"  => facebookLike(spark, sf)
-    case "passenger" => passengerLike(spark, sf)
-    case other       => sys.error(s"unknown dataset $other")
+  /** The network named on a job's command line, at scale factor `sf`. */
+  def byName(spark: SparkSession, name: String, sf: Double): DataFrame = {
+    val n = networks.find(_.name == name).getOrElse(throw new IllegalArgumentException(
+      s"unknown dataset $name; known: ${networks.map(_.name).mkString(", ")}"))
+    generate(spark, n.config(sf))
   }
 }

@@ -1,5 +1,6 @@
 package repro.data
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestGraphs}
 import repro.core.{FlowMotifSearch, MotifCatalog}
@@ -13,7 +14,7 @@ class InteractionGenSpec extends SparkSpec {
 
   private lazy val btc = InteractionGen.bitcoinLike(spark, sf).cache()
   private lazy val fb  = InteractionGen.facebookLike(spark, sf).cache()
-  private lazy val pax = InteractionGen.passengerLike(spark, sf).cache()
+  private lazy val pax = InteractionGen.generate(spark, InteractionGen.passengerConfig(sf)).cache()
 
   test("generators are deterministic in (config, seed)") {
     val a = InteractionGen.bitcoinLike(spark, sf).orderBy("src", "dst", "t", "f").collect()
@@ -80,6 +81,22 @@ class InteractionGenSpec extends SparkSpec {
     val chains = FlowMotifSearch.countInstances(spark, pax, MotifCatalog.M32, 900, 2.0)
     val cycles = FlowMotifSearch.countInstances(spark, pax, MotifCatalog.M33, 900, 2.0)
     assert(chains > cycles, s"chains=$chains cycles=$cycles")
+  }
+
+  test("each network carries the paper's default (δ, φ)") {
+    assert(InteractionGen.networks.map(n => (n.name, n.delta, n.phi)) ==
+      Seq(("bitcoin", 600L, 5.0), ("facebook", 600L, 3.0), ("passenger", 900L, 2.0)))
+  }
+
+  test("byName gives each network's generator at the same sf and seed, row for row") {
+    def rows(d: DataFrame) = d.orderBy("src", "dst", "t", "f").collect().toSeq
+    for ((name, d) <- Seq("bitcoin" -> btc, "facebook" -> fb, "passenger" -> pax))
+      assert(rows(InteractionGen.byName(spark, name, sf)) == rows(d), name)
+  }
+
+  test("byName rejects an unknown dataset, naming the known ones") {
+    val e = intercept[IllegalArgumentException](InteractionGen.byName(spark, "twitter", sf))
+    assert(e.getMessage == "unknown dataset twitter; known: bitcoin, facebook, passenger")
   }
 
   test("tiny scale factors still produce non-degenerate graphs") {
