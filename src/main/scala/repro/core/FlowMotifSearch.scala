@@ -30,8 +30,8 @@ final case class InstanceRow(
   * P1 = [[StructuralMatcher]] (the spanning-path DFS over the broadcast `G_T`
   * [[Index]], which hands each match over as the pairs its edges traverse);
   * P2 = [[LocalEnumerator]] (Algorithm 1), run on each match inside the
-  * walk's own task by [[perMatch]], the one driver behind every search and
-  * the join baseline's step 1.
+  * walk that found it: by [[perMatch]] for the distributed outputs and the join
+  * baseline's step 1, or by [[StructuralMatcher.aggregate]] for a count.
   */
 object FlowMotifSearch {
 
@@ -114,6 +114,7 @@ object FlowMotifSearch {
       phi: Double
   ): Long = {
     LocalEnumerator.requireDelta(delta)
-    perMatch(edges, motif)((_, series) => LocalEnumerator.count(series, delta, phi)).fold(0L)(_ + _)
+    StructuralMatcher.aggregate(spark.sparkContext, Index(checkedEdges(edges)), motif, 0L)(
+      (gt, _, ps) => LocalEnumerator.count(gt.seriesOf(ps, 0), delta, phi))(_ + _, _ + _)
   }
 }

@@ -25,6 +25,9 @@ private[repro] final class Index private (
   /** Number of pairs, `|E_T|`. */
   def pairs: Int = dst.length
 
+  /** Interactions × flow vectors: how much a walk with phase P2 reads. */
+  def cells: Long = t.length.toLong * f.length
+
   /** The pairs out of `v`, by binary search on `keys`; none if `v` has no out-edges. */
   private[core] def pairsOf(v: Long): Range = {
     val i = java.util.Arrays.binarySearch(keys, v)

@@ -2,7 +2,7 @@ package repro.core
 
 import scala.collection.mutable.ArrayBuffer
 import scala.reflect.ClassTag
-import org.apache.spark.SparkContext
+import org.apache.spark.{SparkContext, TaskContext}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.{col, lit}
@@ -11,15 +11,14 @@ import org.apache.spark.sql.types.{LongType, StructField, StructType}
 /** Phase P1 (Section 4): find every structural match of a motif's spanning
   * path in the time-series graph, disregarding timestamps, δ and φ.
   *
-  * This is the paper's modified DFS over the [[Index]] that the caller builds
-  * on the driver; the index is broadcast and each executor walks the spanning
-  * path from its share of the start vertices, finding the pairs out of a
-  * vertex by binary search on the index's sorted sources. The walk binds a
-  * motif vertex on its first visit to any out-neighbour not bound yet (the
-  * vertex bijection), and on a revisit (cycle closure) follows only the edge
-  * to the vertex already bound. The pair id of each traversed edge rides
-  * along, so phase P2 reads each match's series from the index and no join
-  * is needed.
+  * This is the paper's modified DFS over the [[Index]] that the caller builds on the driver,
+  * which walks a small index itself ([[aggregate]]) and otherwise broadcasts it, each task
+  * walking the spanning path from its share of the start vertices. The pairs out of a vertex
+  * are found by binary search on the index's sorted sources. The walk binds a motif vertex
+  * on its first visit to any out-neighbour not bound yet (the vertex bijection), and on a
+  * revisit (cycle closure) follows only the edge to the vertex already bound. The pair id
+  * of each traversed edge rides along, so phase P2 reads each match's series from the index
+  * and no join is needed.
   */
 object StructuralMatcher {
 
@@ -43,9 +42,9 @@ object StructuralMatcher {
     * where `gt` is the executor's copy of the index, `vs(i)` is the graph
     * vertex bound to motif vertex `i` and `ps(i)` is the pair motif edge
     * `i+1` traverses. Both arrays are reused between calls, so `out` must copy
-    * what it keeps. This is the one walk of `G_T` (every search, the study,
-    * Table 4, [[matches]] and the join baseline's step 1) and holds the
-    * library's only broadcast. No answer may depend on how the walk is split.
+    * what it keeps. This is the one walk of `G_T`: the distributed outputs
+    * ([[matches]], instances, the join baseline's step 1) take its RDD, and every
+    * scalar answer [[aggregate]]s it. No answer may depend on how it is split.
     */
   private[repro] def search[R: ClassTag](sc: SparkContext, index: Index, motif: Motif)(
       out: (Index, Array[Long], Array[Int]) => R
@@ -58,6 +57,27 @@ object StructuralMatcher {
         walk(g, motif, g.keys(i))((vs, ps) => found += out(g, vs, ps))
         found
       }
+    }
+  }
+
+  /** Below this many [[Index.cells]], [[aggregate]] walks on the driver, which ends sooner than a job would. */
+  private[core] val DriverCells = 1L << 15
+
+  /** The walk folded to one value: `add` adds each match's `value` into its task's `zero`, and `merge` merges
+    * the tasks' results in start-key order. Under [[DriverCells]] (DESIGN §3, row 3) the driver that built the
+    * index walks it as one task, with no broadcast and no job; else one job runs [[search]]'s tasks over a
+    * broadcast destroyed when it ends. Every merge is exact, so both give the same answer to the bit. */
+  private[repro] def aggregate[R, A: ClassTag](sc: SparkContext, index: Index, motif: Motif, zero: => A)(
+      value: (Index, Array[Long], Array[Int]) => R)(add: (A, R) => A, merge: (A, A) => A): A = {
+    def fold(g: Index, keys: Iterator[Int]): A = {
+      var acc = zero
+      for (i <- keys) walk(g, motif, g.keys(i))((vs, ps) => acc = add(acc, value(g, vs, ps)))
+      acc
+    }
+    if (index.cells < DriverCells) fold(index, index.keys.indices.iterator)
+    else {
+      val (gt, keys) = (sc.broadcast(index), sc.parallelize(index.keys.indices, sc.defaultParallelism))
+      try sc.runJob(keys, (_: TaskContext, it: Iterator[Int]) => fold(gt.value, it)).reduce(merge) finally gt.destroy()
     }
   }
 

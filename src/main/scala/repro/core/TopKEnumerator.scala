@@ -44,15 +44,11 @@ object TopKEnumerator {
     best.sorted
   }
 
-  /** The up-to-k best of `items` under `ord`, best first. */
-  private[core] def best[A](items: Iterator[A], k: Int, ord: Ordering[A]): Vector[A] =
-    items.foldLeft(new Best(k, ord))(_ offer _).sorted
-
   /** The up-to-k best items offered under `ord`, the one selection of the
     * kernel and the merge. It holds no more than it was offered, so a large
     * k allocates nothing up front.
     */
-  private[core] final class Best[A](k: Int, ord: Ordering[A]) {
+  private[core] final class Best[A](k: Int, ord: Ordering[A]) extends Serializable {
     private val heap = mutable.PriorityQueue.empty(ord) // head: the worst of the k kept
     def full: Boolean = heap.size >= k
     def worst: A = heap.head // the k-th best once full
@@ -60,6 +56,7 @@ object TopKEnumerator {
       if (heap.size < k) heap.enqueue(a) else if (ord.lt(a, heap.head)) { heap.dequeue(); heap.enqueue(a) }
       this
     }
+    def offerAll(as: IterableOnce[A]): this.type = { as.iterator.foreach(offer); this }
     def sorted: Vector[A] = heap.toVector.sorted(ord) // best first
   }
 

@@ -6,10 +6,10 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   * variant (Section 5.1).
   *
   * Each structural match computes its local top-k with the floating-threshold
-  * enumerator (or its top-1 flow with the DP module) in the task that found
-  * it; each task keeps its k best candidates and the driver merges them, so
-  * nothing is shuffled. Heap and merge are one selection
-  * ([[TopKEnumerator.Best]]) under one total order, so tied flows give the
+  * enumerator (or its top-1 flow with the DP module) in the walk that found
+  * it; each task of [[StructuralMatcher.aggregate]] keeps its k best candidates
+  * and the driver merges them, so nothing is shuffled. Heap and merge are one
+  * selection ([[TopKEnumerator.Best]]) under one total order, so tied flows give the
   * same instances however the walk is split, and a large k allocates nothing
   * up front.
   */
@@ -28,11 +28,11 @@ object TopKSearch {
   ): Seq[InstanceRow] = {
     LocalEnumerator.requireDelta(delta)
     TopKEnumerator.requireK(k)
-    val perTask = FlowMotifSearch.perMatch(edges, motif) { (vs, series) =>
+    StructuralMatcher.aggregate(spark.sparkContext, Index(FlowMotifSearch.checkedEdges(edges)), motif,
+      new TopKEnumerator.Best(k, TopKEnumerator.rowOrder)) { (gt, vs, ps) =>
       val v = vs.toSeq
-      TopKEnumerator.topK(series, delta, k).map(FlowMotifSearch.instanceRow(v, _))
-    }.mapPartitions(matches => Iterator.single(TopKEnumerator.best(matches.flatten, k, TopKEnumerator.rowOrder)))
-    TopKEnumerator.best(perTask.collect().iterator.flatten, k, TopKEnumerator.rowOrder)
+      TopKEnumerator.topK(gt.seriesOf(ps, 0), delta, k).map(FlowMotifSearch.instanceRow(v, _))
+    }(_ offerAll _, (a, b) => a.offerAll(b.sorted)).sorted
   }
 
   /** Top-1 instance flow via the dynamic-programming module (Algorithm 2). */
@@ -43,6 +43,7 @@ object TopKSearch {
       delta: Long
   ): Double = {
     LocalEnumerator.requireDelta(delta)
-    FlowMotifSearch.perMatch(edges, motif)((_, series) => MaxFlowDP.maxFlow(series, delta)).fold(0.0)(math.max)
+    StructuralMatcher.aggregate(spark.sparkContext, Index(FlowMotifSearch.checkedEdges(edges)), motif, 0.0)(
+      (gt, _, ps) => MaxFlowDP.maxFlow(gt.seriesOf(ps, 0), delta))(math.max, math.max)
   }
 }

@@ -51,9 +51,9 @@ object Significance {
     require(nRandom >= 1, s"nRandom must be >= 1, got $nRandom")
     LocalEnumerator.requireDelta(delta)
     val (e, flows) = Randomizer.flowVectors(edges, seed, nRandom)
-    val counts = StructuralMatcher.search(spark.sparkContext, Index(e, flows), motif)(
-      (gt, _, ps) => Array.tabulate(nRandom + 1)(j => LocalEnumerator.count(gt.seriesOf(ps, j), delta, phi))
-    ).fold(new Array[Long](nRandom + 1))((a, b) => a.lazyZip(b).map(_ + _))
+    val sum = (a: Array[Long], b: Array[Long]) => { for (j <- a.indices) a(j) += b(j); a }
+    val counts = StructuralMatcher.aggregate(spark.sparkContext, Index(e, flows), motif, new Array[Long](nRandom + 1))(
+      (gt, _, ps) => Array.tabulate(nRandom + 1)(j => LocalEnumerator.count(gt.seriesOf(ps, j), delta, phi)))(sum, sum)
     val (real, randomCounts) = (counts.head, counts.toVector.tail)
     val (mu, sd, z) = zScore(real, randomCounts)
     val p = randomCounts.count(_ >= real).toDouble / nRandom

@@ -1,12 +1,12 @@
 package repro.core
 
-import org.apache.spark.{JobExecutionStatus, SparkJobInfo}
+import org.apache.spark.{BlockManagerAccess, JobExecutionStatus, SparkJobInfo}
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
 import repro.{SparkSpec, TestGraphs}
 import repro.baseline.JoinBaseline
-import repro.data.{NetworkStats, Randomizer}
+import repro.data.{InteractionGen, NetworkStats, Randomizer}
 import repro.stats.Significance
 
 /** What every search entry point promises at its boundary: bad input fails
@@ -32,6 +32,13 @@ class SearchBoundarySpec extends SparkSpec {
   private val schema = StructType(Seq(
     StructField("src", LongType), StructField("dst", LongType),
     StructField("t", LongType), StructField("f", DoubleType)))
+
+  /** Bitcoin-like at sf 1, 42.6K interactions: above the size at which an aggregate walks on the driver. */
+  private lazy val largeRows = InteractionGen.bitcoinLike(spark, 1.0).collect().toSeq
+
+  /** The large input, in `partitions` input partitions. */
+  private def large(partitions: Int): DataFrame =
+    spark.createDataFrame(spark.sparkContext.parallelize(largeRows, partitions), schema)
 
   /** The good edges plus one row `(src, dst, t, f)`, any field possibly null. */
   private def withRow(bad: Row): DataFrame = {
@@ -217,28 +224,76 @@ class SearchBoundarySpec extends SparkSpec {
   }
 
   test("countInstances, topK, maxFlowDP, study and permuteFlows run only single-stage jobs (no shuffle)") {
-    val df = spark.createDataFrame(spark.sparkContext.parallelize(good, 2))
-    val jobs = jobsOf("no-shuffle") {
-      FlowMotifSearch.countInstances(spark, df, motif, 10, 1.0)
-      TopKSearch.topK(spark, df, motif, 10, 3)
-      TopKSearch.maxFlowDP(spark, df, motif, 10)
-      Significance.study(spark, df, motif, 10, 1.0, nRandom = 2)
-      Randomizer.permuteFlows(df, 1).collect()
-    }
-    // A collect and a walk per search and per study, one collect for permuteFlows.
-    assert(jobs.length >= 9, s"jobs: ${jobs.map(_.jobId)}")
-    for (j <- jobs) {
-      assert(j.status == JobExecutionStatus.SUCCEEDED, s"job ${j.jobId} is ${j.status}")
-      assert(j.stageIds.length == 1, s"job ${j.jobId} has stages ${j.stageIds.toSeq}")
+    val small = spark.createDataFrame(spark.sparkContext.parallelize(good, 2))
+    for ((df, perSearch) <- Seq(small -> 1, large(4) -> 2)) {
+      val jobs = jobsOf(s"no-shuffle-$perSearch") {
+        FlowMotifSearch.countInstances(spark, df, motif, 10, 1.0)
+        TopKSearch.topK(spark, df, motif, 10, 3)
+        TopKSearch.maxFlowDP(spark, df, motif, 10)
+        Significance.study(spark, df, motif, 10, 1.0, nRandom = 2)
+        Randomizer.permuteFlows(df, 1).collect()
+      }
+      // The collect per search and per study, the walk's job above the bound, one collect for permuteFlows.
+      assert(jobs.length == 4 * perSearch + 1, s"jobs: ${jobs.map(_.jobId)}")
+      for (j <- jobs) {
+        assert(j.status == JobExecutionStatus.SUCCEEDED, s"job ${j.jobId} is ${j.status}")
+        assert(j.stageIds.length == 1, s"job ${j.jobId} has stages ${j.stageIds.toSeq}")
+      }
     }
   }
 
-  test("a study runs two Spark jobs, the collect and the walk, whatever R is") {
-    val df = spark.createDataFrame(spark.sparkContext.parallelize(good, 2))
-    for (r <- Seq(1, 5)) {
-      val jobs = jobsOf(s"study-$r")(Significance.study(spark, df, motif, 10, 1.0, nRandom = r))
-      assert(jobs.length == 2, s"R = $r: jobs ${jobs.map(_.jobId)}")
+  test("the large input is above the driver walk's bound, the small one below") {
+    val cells = (df: DataFrame) => Index(FlowMotifSearch.checkedEdges(df)).cells
+    assert(cells(large(4)) >= StructuralMatcher.DriverCells)
+    assert(cells(TestGraphs.toDf(spark, good)) * 6 < StructuralMatcher.DriverCells) // a study at R = 5 too
+  }
+
+  test("a search or study runs 1 job below the bound and 2 above, whatever R") {
+    val small = spark.createDataFrame(spark.sparkContext.parallelize(good, 2))
+    val calls = Seq[(String, DataFrame => Any)](
+      "countInstances" -> (FlowMotifSearch.countInstances(spark, _, motif, 10, 1.0)),
+      "topK" -> (TopKSearch.topK(spark, _, motif, 10, 3)),
+      "maxFlowDP" -> (TopKSearch.maxFlowDP(spark, _, motif, 10)),
+      "study R = 1" -> (Significance.study(spark, _, motif, 10, 1.0, nRandom = 1)),
+      "study R = 5" -> (Significance.study(spark, _, motif, 10, 1.0, nRandom = 5)))
+    for ((df, expected) <- Seq(small -> 1, large(4) -> 2); (name, call) <- calls) {
+      val jobs = jobsOf(s"jobs-$expected-$name")(call(df))
+      assert(jobs.length == expected, s"$name: jobs ${jobs.map(_.jobId)}")
     }
+  }
+
+  test("above the bound the aggregates agree with instances, at 1, 4 or 7 partitions") {
+    val (d, phi, k) = (600L, 5.0, 10)
+    val answers = for (p <- Seq(1, 4, 7)) yield {
+      val df = large(p)
+      val count = FlowMotifSearch.countInstances(spark, df, motif, d, phi)
+      assert(count == FlowMotifSearch.instances(spark, df, motif, d, phi).count(), s"$p partitions")
+      val all = FlowMotifSearch.instances(spark, df, motif, d, 0.0).collect()
+      val top = TopKSearch.topK(spark, df, motif, d, k)
+      assert(top == all.sorted(TopKEnumerator.rowOrder).take(k).toSeq, s"$p partitions")
+      val dp = TopKSearch.maxFlowDP(spark, df, motif, d)
+      assert(math.abs(dp - TopKSearch.topK(spark, df, motif, d, 1).head.flow) < 1e-9, s"$p partitions")
+      // The random counts depend on the input's partitions (Randomizer.flowVectors); the real count may not.
+      val real = Significance.study(spark, df, motif, d, phi, nRandom = 2).real
+      assert(real == count, s"$p partitions")
+      (count, top, dp)
+    }
+    assert(answers.distinct.length == 1, answers.map(a => (a._1, a._3)))
+  }
+
+  test("above the bound the aggregates destroy the index they broadcast") {
+    val sc = spark.sparkContext
+    def indexBlocks = BlockManagerAccess.broadcastValues(sc).collect { case (id, _: Index) => id }.toSet
+    val df = large(4)
+    val before = indexBlocks
+    FlowMotifSearch.countInstances(spark, df, motif, 600, 5.0)
+    TopKSearch.topK(spark, df, motif, 600, 3)
+    TopKSearch.maxFlowDP(spark, df, motif, 600)
+    Significance.study(spark, df, motif, 600, 5.0, nRandom = 1)
+    // A destroyed broadcast's blocks are removed asynchronously.
+    val deadline = System.nanoTime() + 10L * 1000 * 1000 * 1000
+    while (!indexBlocks.subsetOf(before) && System.nanoTime() < deadline) Thread.sleep(20)
+    assert(indexBlocks.subsetOf(before), s"left: ${indexBlocks -- before}")
   }
 
   test("countInstances, topK, maxFlowDP and study leave nothing cached") {

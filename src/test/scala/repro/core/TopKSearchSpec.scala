@@ -58,9 +58,9 @@ class TopKSearchSpec extends SparkSpec {
     val grouped = for (all <- Gen.listOf(row); n <- Gen.choose(1, 8); cuts <- Gen.listOfN(n - 1, Gen.choose(0, all.length)))
       yield (all, (0 +: cuts.sorted).zip(cuts.sorted :+ all.length).map { case (a, b) => all.slice(a, b) })
     val ord = TopKEnumerator.rowOrder
+    def best(items: IterableOnce[InstanceRow], k: Int) = new TopKEnumerator.Best(k, ord).offerAll(items).sorted
     val prop = Prop.forAll(grouped, Gen.choose(1, 10)) { case ((all, groups), k) =>
-      TopKEnumerator.best(groups.iterator.flatMap(g => TopKEnumerator.best(g.iterator, k, ord)), k, ord) ==
-        all.sorted(ord).take(k)
+      best(groups.iterator.flatMap(g => best(g, k)), k) == all.sorted(ord).take(k)
     }
     val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(500), prop)
     assert(result.passed, result.status)

@@ -67,23 +67,34 @@ class JobsSpec extends SparkSpec {
     assert(lines.map(_.split(' ')(0)) == MotifCatalog.all.map(_.name), lines)
   }
 
-  test("a wrong argument count fails with the job's usage line before any Spark job runs") {
-    val jobs: Seq[(Array[String] => Unit, String)] = Seq(
-      (MotifSearchJob.main, "usage: MotifSearchJob <bitcoin|facebook|passenger> <motif> <delta> <phi> [sf]"),
-      (TopKJob.main, "usage: TopKJob <dataset> <motif> <delta> <k> [sf]"),
-      (SignificanceJob.main, "usage: SignificanceJob <dataset> <delta> <phi> <nRandom> [sf]"),
-      (Table3Job.main, "usage: Table3Job [sf]"),
-      (Table4Job.main, "usage: Table4Job [sf]"))
-    for (((main, usage), i) <- jobs.zipWithIndex) {
-      val group = s"job-args-$i"
-      spark.sparkContext.setJobGroup(group, group)
-      try {
-        val args = if (usage.contains("<")) Array("bitcoin") else Array(sf, sf)
-        val e = intercept[IllegalArgumentException](main(args))
-        assert(e.getMessage.contains(usage), e.getMessage)
-        assert(spark.sparkContext.statusTracker.getJobIdsForGroup(group).isEmpty)
-      } finally spark.sparkContext.clearJobGroup()
-    }
+  /** Each job's `main`, its usage line and arguments it runs with. */
+  private val jobs: Seq[(Array[String] => Unit, String, Seq[String])] = Seq(
+    (MotifSearchJob.main, "usage: MotifSearchJob <bitcoin|facebook|passenger> <motif> <delta> <phi> [sf]",
+      Seq("bitcoin", "M(3,2)", "600", "5")),
+    (TopKJob.main, "usage: TopKJob <dataset> <motif> <delta> <k> [sf]", Seq("facebook", "M(3,2)", "600", "3")),
+    (SignificanceJob.main, "usage: SignificanceJob <dataset> <delta> <phi> <nRandom> [sf]",
+      Seq("passenger", "900", "2", "2")),
+    (Table3Job.main, "usage: Table3Job [sf]", Nil),
+    (Table4Job.main, "usage: Table4Job [sf]", Nil))
+
+  /** `main(args)` fails with `usage` and runs no Spark job on the way. */
+  private def rejected(group: String, main: Array[String] => Unit, usage: String, args: Seq[String]): Unit = {
+    spark.sparkContext.setJobGroup(group, group)
+    try {
+      val e = intercept[IllegalArgumentException](main(args.toArray))
+      assert(e.getMessage.contains(usage), e.getMessage)
+      assert(spark.sparkContext.statusTracker.getJobIdsForGroup(group).isEmpty, args)
+    } finally spark.sparkContext.clearJobGroup()
     assert(!spark.sparkContext.isStopped)
+  }
+
+  test("a wrong argument count fails with the job's usage line before any Spark job runs") {
+    for (((main, usage, args), i) <- jobs.zipWithIndex)
+      rejected(s"job-args-$i", main, usage, if (args.nonEmpty) Seq("bitcoin") else Seq(sf, sf))
+  }
+
+  test("a scale factor that is not a finite number > 0 fails with the job's usage line") {
+    for (((main, usage, args), i) <- jobs.zipWithIndex; bad <- Seq("abc", "-1", "0", "NaN", "Infinity", "-Infinity"))
+      rejected(s"job-sf-$i-$bad", main, usage, args :+ bad)
   }
 }
