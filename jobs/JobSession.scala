@@ -13,14 +13,17 @@ object JobSession {
     else builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).getOrCreate()
   }
 
-  /** Every job's `main`: `run(spark, arguments, sf)` once `args` fits `usage` (one argument per `<…>`, then
-    * an optional finite sf > 0, default 1.0). A running session is used and left running; one started is stopped. */
-  def launch(job: String, usage: String, args: Array[String])(run: (SparkSession, Seq[String], Double) => Unit): Unit = {
+  /** Every job's `main`: `run(spark, parse(arguments), sf)` once `args` fits `usage` (one argument per `<…>`,
+    * then an optional finite sf > 0, default 1.0) and parses. A running session is kept; one started is stopped. */
+  def launch[A](job: String, usage: String, args: Array[String])(parse: Seq[String] => A)(
+      run: (SparkSession, A, Double) => Unit): Unit = {
     val n = usage.split(' ').count(_.startsWith("<"))
     val sf = args.lift(n).fold(Option(1.0))(_.toDoubleOption).filter(s => s > 0 && !s.isInfinite)
-    require((args.length == n || args.length == n + 1) && sf.nonEmpty, s"usage: $job $usage (sf: finite, > 0)")
+    val parsed = Option.when((args.length == n || args.length == n + 1) && sf.nonEmpty)(args.take(n).toSeq)
+      .flatMap(a => try Some(parse(a)) catch { case _: NumberFormatException => None })
+    require(parsed.nonEmpty, s"usage: $job $usage (sf: finite, > 0)")
     val running = SparkSession.getDefaultSession
     val spark = running.getOrElse(create(job))
-    try run(spark, args.take(n).toSeq, sf.get) finally if (running.isEmpty) spark.stop()
+    try run(spark, parsed.get, sf.get) finally if (running.isEmpty) spark.stop()
   }
 }

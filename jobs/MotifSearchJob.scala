@@ -9,12 +9,12 @@ import repro.data.InteractionGen
 object MotifSearchJob {
   def main(args: Array[String]): Unit =
     JobSession.launch("MotifSearchJob", "<bitcoin|facebook|passenger> <motif> <delta> <phi> [sf]", args) {
-      case (spark, Seq(dataset, motifName, deltaS, phiS), sf) =>
-        val edges = InteractionGen.byName(spark, dataset, sf)
-        val motif = MotifCatalog.byName(motifName)
-        val t0 = System.nanoTime()
-        val n = FlowMotifSearch.countInstances(spark, edges, motif, deltaS.toLong, phiS.toDouble)
-        println(f"dataset=$dataset motif=$motifName delta=$deltaS phi=$phiS " +
-          f"instances=$n time=${(System.nanoTime() - t0) / 1e9}%.2fs")
+      case Seq(dataset, motif, delta, phi) => (dataset, MotifCatalog.byName(motif), delta.toLong, phi.toDouble)
+    } { case (spark, (dataset, motif, delta, phi), sf) =>
+      val edges = InteractionGen.byName(spark, dataset, sf)
+      val t0 = System.nanoTime()
+      val n = FlowMotifSearch.countInstances(spark, edges, motif, delta, phi)
+      println(f"dataset=$dataset motif=${motif.name} delta=$delta phi=$phi " +
+        f"instances=$n time=${(System.nanoTime() - t0) / 1e9}%.2fs")
     }
 }

@@ -10,12 +10,13 @@ import repro.stats.Significance
 object SignificanceJob {
   def main(args: Array[String]): Unit =
     JobSession.launch("SignificanceJob", "<dataset> <delta> <phi> <nRandom> [sf]", args) {
-      case (spark, Seq(dataset, deltaS, phiS, nrS), sf) =>
-        val edges = InteractionGen.byName(spark, dataset, sf).cache()
-        try for (m <- MotifCatalog.all) {
-          val s = Significance.study(spark, edges, m, deltaS.toLong, phiS.toDouble, nrS.toInt, seed = 1234)
-          println(f"${m.name}%-10s real=${s.real}%8d mean=${s.mean}%10.1f std=${s.std}%8.1f " +
-            f"z=${s.z}%8.2f p=${s.empiricalP}%.2f")
-        } finally edges.unpersist()
+      case Seq(dataset, delta, phi, nRandom) => (dataset, delta.toLong, phi.toDouble, nRandom.toInt)
+    } { case (spark, (dataset, delta, phi, nRandom), sf) =>
+      val edges = InteractionGen.byName(spark, dataset, sf).cache()
+      try for (m <- MotifCatalog.all) {
+        val s = Significance.study(spark, edges, m, delta, phi, nRandom, seed = 1234)
+        println(f"${m.name}%-10s real=${s.real}%8d mean=${s.mean}%10.1f std=${s.std}%8.1f " +
+          f"z=${s.z}%8.2f p=${s.empiricalP}%.2f")
+      } finally edges.unpersist()
     }
 }

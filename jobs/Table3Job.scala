@@ -17,5 +17,6 @@ object Table3Job {
     }
   }
 
-  def main(args: Array[String]): Unit = JobSession.launch("Table3Job", "[sf]", args)((spark, _, sf) => table(spark, sf))
+  def main(args: Array[String]): Unit =
+    JobSession.launch("Table3Job", "[sf]", args)(identity)((spark, _, sf) => table(spark, sf))
 }

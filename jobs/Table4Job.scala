@@ -16,12 +16,13 @@ object Table4Job {
       val gt = Index(FlowMotifSearch.checkedEdges(InteractionGen.generate(spark, n.config(sf))))
       n.label -> MotifCatalog.all.map { m =>
         val t0 = System.nanoTime()
-        val matches = StructuralMatcher.aggregate(spark.sparkContext, gt, m, 0L)((_, _, _) => 1L)(_ + _, _ + _)
+        val matches = StructuralMatcher.aggregate(spark.sparkContext, gt, m, 0L)((n, _, _, _) => n + 1, _ + _)
         val secs = (System.nanoTime() - t0) / 1e9
         println(f"${n.label}%-16s ${m.name}%-10s matches=$matches%10d  time=$secs%8.2fs")
         (m.name, matches, secs)
       }
     }
 
-  def main(args: Array[String]): Unit = JobSession.launch("Table4Job", "[sf]", args)((spark, _, sf) => table(spark, sf))
+  def main(args: Array[String]): Unit =
+    JobSession.launch("Table4Job", "[sf]", args)(identity)((spark, _, sf) => table(spark, sf))
 }

@@ -9,15 +9,15 @@ import repro.data.InteractionGen
 object TopKJob {
   def main(args: Array[String]): Unit =
     JobSession.launch("TopKJob", "<dataset> <motif> <delta> <k> [sf]", args) {
-      case (spark, Seq(dataset, motifName, deltaS, kS), sf) =>
-        val edges = InteractionGen.byName(spark, dataset, sf)
-        val motif = MotifCatalog.byName(motifName)
-        val top = TopKSearch.topK(spark, edges, motif, deltaS.toLong, kS.toInt)
-        top.zipWithIndex.foreach { case (inst, i) =>
-          println(f"#${i + 1}%3d flow=${inst.flow}%10.3f vs=${inst.vs.mkString(",")} " +
-            s"span=[${inst.tStart},${inst.tEnd}]")
-        }
-        val dp = TopKSearch.maxFlowDP(spark, edges, motif, deltaS.toLong)
-        println(f"DP top-1 flow = $dp%.3f")
+      case Seq(dataset, motif, delta, k) => (dataset, MotifCatalog.byName(motif), delta.toLong, k.toInt)
+    } { case (spark, (dataset, motif, delta, k), sf) =>
+      val edges = InteractionGen.byName(spark, dataset, sf)
+      val top = TopKSearch.topK(spark, edges, motif, delta, k)
+      top.zipWithIndex.foreach { case (inst, i) =>
+        println(f"#${i + 1}%3d flow=${inst.flow}%10.3f vs=${inst.vs.mkString(",")} " +
+          s"span=[${inst.tStart},${inst.tEnd}]")
+      }
+      val dp = TopKSearch.maxFlowDP(spark, edges, motif, delta)
+      println(f"DP top-1 flow = $dp%.3f")
     }
 }

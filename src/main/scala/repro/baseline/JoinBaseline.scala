@@ -44,6 +44,7 @@ object JoinBaseline {
   ): Dataset[Quintuple] = {
     import spark.implicits._
     LocalEnumerator.requireDelta(delta)
+    LocalEnumerator.requirePhi(phi)
     spark.createDataset(FlowMotifSearch.perMatch(edges, Motif("pair", Vector(0, 1))) { (vs, series) =>
       val (u, v, s) = (vs(0), vs(1), series.head)
       // A run must contain *all* elements in [ts, te]; never split a group

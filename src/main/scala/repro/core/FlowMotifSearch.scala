@@ -99,6 +99,7 @@ object FlowMotifSearch {
   ): Dataset[InstanceRow] = {
     import spark.implicits._
     LocalEnumerator.requireDelta(delta)
+    LocalEnumerator.requirePhi(phi)
     spark.createDataset(perMatch(edges, motif) { (vs, series) =>
       val v = vs.toSeq
       LocalEnumerator.enumerate(series, delta, phi).map(instanceRow(v, _))
@@ -114,7 +115,8 @@ object FlowMotifSearch {
       phi: Double
   ): Long = {
     LocalEnumerator.requireDelta(delta)
+    LocalEnumerator.requirePhi(phi)
     StructuralMatcher.aggregate(spark.sparkContext, Index(checkedEdges(edges)), motif, 0L)(
-      (gt, _, ps) => LocalEnumerator.count(gt.seriesOf(ps, 0), delta, phi))(_ + _, _ + _)
+      (n, gt, _, ps) => n + LocalEnumerator.count(gt.seriesOf(ps, 0), delta, phi), _ + _)
   }
 }

@@ -48,6 +48,7 @@ object LocalEnumerator {
       delta: Long,
       phi: Double
   ): Vector[LocalInstance] = {
+    requirePhi(phi)
     val out = Vector.newBuilder[LocalInstance]
     search(seriesIn, delta)(_ >= phi)(out += _)
     out.result()
@@ -55,6 +56,7 @@ object LocalEnumerator {
 
   /** Count instances without materializing them. */
   def count(seriesIn: IndexedSeq[IndexedSeq[TF]], delta: Long, phi: Double): Long = {
+    requirePhi(phi)
     var n = 0L
     search(seriesIn, delta)(_ >= phi)(_ => n += 1)
     n
@@ -64,6 +66,9 @@ object LocalEnumerator {
     * by every search entry point.
     */
   def requireDelta(delta: Long): Unit = require(delta >= 0, s"delta must be non-negative, got $delta")
+
+  /** The one check on φ, made as [[requireDelta]] is: no flow passes `flow >= NaN`. φ = ±∞ stays legal. */
+  def requirePhi(phi: Double): Unit = require(!phi.isNaN, s"phi must be a number, got $phi")
 
   /** Normalize `seriesIn` once and call `visit(series, a, windowEnd)` for every
     * window `[R(e_1)(a).t, R(e_1)(a).t + δ]` the skip rule keeps, in order.

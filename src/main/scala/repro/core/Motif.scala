@@ -60,6 +60,6 @@ object MotifCatalog {
   /** All motifs in the order of the paper's Table 4 columns. */
   val all: Vector[Motif] = Vector(M32, M33, M43, M44A, M44B, M44C, M54, M55A, M55B, M55C)
 
-  def byName(name: String): Motif =
-    all.find(_.name == name).getOrElse(sys.error(s"unknown motif '$name'; known: ${all.map(_.name)}"))
+  def byName(name: String): Motif = all.find(_.name == name).getOrElse(
+    throw new IllegalArgumentException(s"unknown motif $name; known: ${all.map(_.name).mkString(", ")}"))
 }

@@ -42,69 +42,63 @@ object StructuralMatcher {
     * where `gt` is the executor's copy of the index, `vs(i)` is the graph
     * vertex bound to motif vertex `i` and `ps(i)` is the pair motif edge
     * `i+1` traverses. Both arrays are reused between calls, so `out` must copy
-    * what it keeps. This is the one walk of `G_T`: the distributed outputs
-    * ([[matches]], instances, the join baseline's step 1) take its RDD, and every
-    * scalar answer [[aggregate]]s it. No answer may depend on how it is split.
+    * what it keeps. The distributed outputs ([[matches]], instances, the join baseline's
+    * step 1) take this RDD, which folds one start key at a time into a fresh buffer, and every
+    * scalar answer [[aggregate]]s the same fold. No answer may depend on how it is split.
     */
   private[repro] def search[R: ClassTag](sc: SparkContext, index: Index, motif: Motif)(
       out: (Index, Array[Long], Array[Int]) => R
   ): RDD[R] = {
     val gt = sc.broadcast(index)
-    sc.parallelize(index.keys.indices, sc.defaultParallelism).mapPartitions { it =>
-      val g = gt.value
-      it.flatMap { i =>
-        val found = ArrayBuffer.empty[R]
-        walk(g, motif, g.keys(i))((vs, ps) => found += out(g, vs, ps))
-        found
-      }
-    }
+    startKeys(sc, index).mapPartitions(_.flatMap { i =>
+      fold(gt.value, motif, Iterator(i), ArrayBuffer.empty[R])((found, g, vs, ps) => found += out(g, vs, ps))
+    })
   }
 
   /** Below this many [[Index.cells]], [[aggregate]] walks on the driver, which ends sooner than a job would. */
   private[core] val DriverCells = 1L << 15
 
-  /** The walk folded to one value: `add` adds each match's `value` into its task's `zero`, and `merge` merges
-    * the tasks' results in start-key order. Under [[DriverCells]] (DESIGN §3, row 3) the driver that built the
-    * index walks it as one task, with no broadcast and no job; else one job runs [[search]]'s tasks over a
+  /** The walk folded to one value: `step(acc, gt, vs, ps)` folds each match into its task's `zero`, and `merge`
+    * merges the tasks' results in start-key order. Under [[DriverCells]] (DESIGN §3, row 3) the driver that built
+    * the index walks it as one task, with no broadcast and no job; else one job runs [[search]]'s tasks over a
     * broadcast destroyed when it ends. Every merge is exact, so both give the same answer to the bit. */
-  private[repro] def aggregate[R, A: ClassTag](sc: SparkContext, index: Index, motif: Motif, zero: => A)(
-      value: (Index, Array[Long], Array[Int]) => R)(add: (A, R) => A, merge: (A, A) => A): A = {
-    def fold(g: Index, keys: Iterator[Int]): A = {
-      var acc = zero
-      for (i <- keys) walk(g, motif, g.keys(i))((vs, ps) => acc = add(acc, value(g, vs, ps)))
-      acc
-    }
-    if (index.cells < DriverCells) fold(index, index.keys.indices.iterator)
+  private[repro] def aggregate[A: ClassTag](sc: SparkContext, index: Index, motif: Motif, zero: => A)(
+      step: (A, Index, Array[Long], Array[Int]) => A, merge: (A, A) => A): A =
+    if (index.cells < DriverCells) fold(index, motif, index.keys.indices.iterator, zero)(step)
     else {
-      val (gt, keys) = (sc.broadcast(index), sc.parallelize(index.keys.indices, sc.defaultParallelism))
-      try sc.runJob(keys, (_: TaskContext, it: Iterator[Int]) => fold(gt.value, it)).reduce(merge) finally gt.destroy()
+      val gt = sc.broadcast(index)
+      try sc.runJob(startKeys(sc, index), (_: TaskContext, it: Iterator[Int]) => fold(gt.value, motif, it, zero)(step))
+        .reduce(merge) finally gt.destroy()
     }
-  }
 
-  /** The DFS along the spanning path from one start vertex. Motif vertices
-    * are numbered by first appearance along the path, so after binding `n`
-    * of them, `path(i + 1)` is new exactly when it equals `n`.
+  private def startKeys(sc: SparkContext, index: Index) = sc.parallelize(index.keys.indices, sc.defaultParallelism)
+
+  /** One task: the DFS along the spanning path from each start key in `keys`, folding each match into `zero`
+    * by `step`. Motif vertices are numbered by first appearance along the path, so after binding `n` of
+    * them, `path(i + 1)` is new exactly when it equals `n`.
     */
-  private def walk(gt: Index, motif: Motif, start: Long)(emit: (Array[Long], Array[Int]) => Unit): Unit = {
+  private def fold[A](gt: Index, motif: Motif, keys: Iterator[Int], zero: A)(
+      step: (A, Index, Array[Long], Array[Int]) => A): A = {
     val path = motif.path
     val vs = new Array[Long](motif.numVertices)
     val ps = new Array[Int](motif.m)
+    var acc = zero
 
-    def step(i: Int, bound: Int): Unit =
-      if (i == motif.m) emit(vs, ps)
+    def dfs(i: Int, bound: Int): Unit =
+      if (i == motif.m) acc = step(acc, gt, vs, ps)
       else {
         val b = path(i + 1)
         for (p <- gt.pairsOf(vs(path(i)))) {
           val w = gt.dst(p)
           if (b < bound) {
-            if (w == vs(b)) { ps(i) = p; step(i + 1, bound) } // cycle closure
+            if (w == vs(b)) { ps(i) = p; dfs(i + 1, bound) } // cycle closure
           } else if (!vs.iterator.take(bound).contains(w)) { // injectivity
-            vs(b) = w; ps(i) = p; step(i + 1, bound + 1)
+            vs(b) = w; ps(i) = p; dfs(i + 1, bound + 1)
           }
         }
       }
 
-    vs(0) = start
-    step(0, 1)
+    for (k <- keys) { vs(0) = gt.keys(k); dfs(0, 1) }
+    acc
   }
 }

@@ -3,7 +3,7 @@ package repro.core
 import scala.collection.mutable
 import scala.math.Ordering.Implicits.seqOrdering
 
-/** Top-k flow motif search inside one structural match (Section 5).
+/** Top-k flow motif search (Section 5), one structural match at a time.
   *
   * Algorithm 1 ([[LocalEnumerator.search]]) with φ replaced by a *floating*
   * threshold: a heap holds the k best instances found so far, and a prefix
@@ -18,9 +18,7 @@ object TopKEnumerator {
     */
   private[core] val order: Ordering[LocalInstance] = bestFirst[LocalInstance](_.flow)(Ordering.by(_.key))
 
-  /** [[order]] across matches, for the merge of [[TopKSearch.topK]]: the
-    * vertices break flow ties first, so inside one match the two agree.
-    */
+  /** [[order]] across matches: the vertices break flow ties first, so inside one match the two agree. */
   private[core] val rowOrder: Ordering[InstanceRow] =
     bestFirst[InstanceRow](_.flow)(Ordering.by(r => (r.vs, r.sets.map(_.map(_.t)))))
 
@@ -39,14 +37,20 @@ object TopKEnumerator {
       k: Int
   ): Vector[LocalInstance] = {
     requireK(k)
-    val best = new Best(k, order)
-    LocalEnumerator.search(seriesIn, delta)(f => !best.full || f >= best.worst.flow)(best.offer(_))
-    best.sorted
+    search(new Best(k, order))(_.flow)(seriesIn, delta)(identity).sorted
+  }
+
+  /** One match into `best`, which may hold other matches' items: a prefix is admitted until `best` is full, then
+    * while its flow ties or beats the k-th best's. Each instance is offered as `item(instance)`, built only then. */
+  private[core] def search[A](best: Best[A])(flow: A => Double)(series: IndexedSeq[IndexedSeq[TF]], delta: Long)(
+      item: LocalInstance => A): Best[A] = {
+    LocalEnumerator.search(series, delta)(f => !best.full || f >= flow(best.worst))(i => best.offer(item(i)))
+    best
   }
 
   /** The up-to-k best items offered under `ord`, the one selection of the
-    * kernel and the merge. It holds no more than it was offered, so a large
-    * k allocates nothing up front.
+    * kernel, the task and the merge. It holds no more than it was offered, so
+    * a large k allocates nothing up front.
     */
   private[core] final class Best[A](k: Int, ord: Ordering[A]) extends Serializable {
     private val heap = mutable.PriorityQueue.empty(ord) // head: the worst of the k kept

@@ -50,10 +50,11 @@ object Significance {
   ): MotifSignificance = {
     require(nRandom >= 1, s"nRandom must be >= 1, got $nRandom")
     LocalEnumerator.requireDelta(delta)
+    LocalEnumerator.requirePhi(phi)
     val (e, flows) = Randomizer.flowVectors(edges, seed, nRandom)
-    val sum = (a: Array[Long], b: Array[Long]) => { for (j <- a.indices) a(j) += b(j); a }
     val counts = StructuralMatcher.aggregate(spark.sparkContext, Index(e, flows), motif, new Array[Long](nRandom + 1))(
-      (gt, _, ps) => Array.tabulate(nRandom + 1)(j => LocalEnumerator.count(gt.seriesOf(ps, j), delta, phi)))(sum, sum)
+      (n, gt, _, ps) => { for (j <- n.indices) n(j) += LocalEnumerator.count(gt.seriesOf(ps, j), delta, phi); n },
+      (a, b) => { for (j <- a.indices) a(j) += b(j); a })
     val (real, randomCounts) = (counts.head, counts.toVector.tail)
     val (mu, sd, z) = zScore(real, randomCounts)
     val p = randomCounts.count(_ >= real).toDouble / nRandom

@@ -172,4 +172,15 @@ class LocalEnumeratorSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](
       LocalEnumerator.enumerate(Vector(Vector(TF(1, 1))), delta = -1, phi = 0))
   }
+
+  test("φ = NaN is rejected by both kernels; φ = ±∞ is legal") {
+    for (kernel <- Seq[Double => Any](LocalEnumerator.enumerate(TestGraphs.fig7Series, 10, _),
+                                       LocalEnumerator.count(TestGraphs.fig7Series, 10, _))) {
+      val e = intercept[IllegalArgumentException](kernel(Double.NaN))
+      assert(e.getMessage.contains("phi must be a number, got NaN"), e.getMessage)
+    }
+    assert(LocalEnumerator.count(TestGraphs.fig7Series, 10, Double.PositiveInfinity) == 0)
+    assert(LocalEnumerator.count(TestGraphs.fig7Series, 10, Double.NegativeInfinity) ==
+      LocalEnumerator.count(TestGraphs.fig7Series, 10, 0))
+  }
 }

@@ -17,15 +17,17 @@ class SearchBoundarySpec extends SparkSpec {
 
   private val motif = MotifCatalog.M32
 
-  /** Each entry point, as a call on `(edges, δ)`. */
-  private val entryPoints: Seq[(String, (DataFrame, Long) => Any)] = Seq(
-    "instances" -> ((e, d) => FlowMotifSearch.instances(spark, e, motif, d, 1.0).count()),
-    "countInstances" -> ((e, d) => FlowMotifSearch.countInstances(spark, e, motif, d, 1.0)),
-    "topK" -> ((e, d) => TopKSearch.topK(spark, e, motif, d, 3)),
-    "maxFlowDP" -> ((e, d) => TopKSearch.maxFlowDP(spark, e, motif, d)),
-    "study" -> ((e, d) => Significance.study(spark, e, motif, d, 1.0, nRandom = 1)),
-    "JoinBaseline.count" -> ((e, d) => JoinBaseline.count(spark, e, motif, d, 1.0))
+  /** Each entry point, as a call on `(edges, δ, φ)`; top-k and the DP take no φ. */
+  private val entryPoints: Seq[(String, (DataFrame, Long, Double) => Any)] = Seq(
+    "instances" -> ((e, d, phi) => FlowMotifSearch.instances(spark, e, motif, d, phi).count()),
+    "countInstances" -> ((e, d, phi) => FlowMotifSearch.countInstances(spark, e, motif, d, phi)),
+    "topK" -> ((e, d, _) => TopKSearch.topK(spark, e, motif, d, 3)),
+    "maxFlowDP" -> ((e, d, _) => TopKSearch.maxFlowDP(spark, e, motif, d)),
+    "study" -> ((e, d, phi) => Significance.study(spark, e, motif, d, phi, nRandom = 1)),
+    "JoinBaseline.count" -> ((e, d, phi) => JoinBaseline.count(spark, e, motif, d, phi))
   )
+
+  private val withoutPhi = Set("topK", "maxFlowDP")
 
   private val good = TestGraphs.randomEdges(5, 40, 40, 5, seed = 81)
 
@@ -59,7 +61,13 @@ class SearchBoundarySpec extends SparkSpec {
   for ((name, call) <- entryPoints) {
     test(s"$name rejects δ < 0 before any Spark job runs") {
       rejectedBeforeAnyJob(s"negative-delta-$name", "delta must be non-negative, got -1") {
-        call(TestGraphs.toDf(spark, good), -1L)
+        call(TestGraphs.toDf(spark, good), -1L, 1.0)
+      }
+    }
+
+    if (!withoutPhi(name)) test(s"$name rejects φ = NaN before any Spark job runs") {
+      rejectedBeforeAnyJob(s"nan-phi-$name", "phi must be a number, got NaN") {
+        call(TestGraphs.toDf(spark, good), 10L, Double.NaN)
       }
     }
 
@@ -71,7 +79,7 @@ class SearchBoundarySpec extends SparkSpec {
         ("f", "float") -> "column f must be double, got float")
       for (((column, tpe), message) <- cases) {
         val edges = TestGraphs.toDf(spark, good).withColumn(column, col(column).cast(tpe))
-        rejectedBeforeAnyJob(s"column-type-$name-$column", message)(call(edges, 10L))
+        rejectedBeforeAnyJob(s"column-type-$name-$column", message)(call(edges, 10L, 1.0))
       }
     }
 
@@ -86,7 +94,7 @@ class SearchBoundarySpec extends SparkSpec {
         Row(1L, 2L, 5L, Double.NaN) -> "column f must be positive and finite, got f=NaN",
         Row(1L, 2L, 5L, Double.PositiveInfinity) -> "column f must be positive and finite, got f=Infinity")
       for ((bad, message) <- cases) {
-        val e = intercept[IllegalArgumentException](call(withRow(bad), 10L))
+        val e = intercept[IllegalArgumentException](call(withRow(bad), 10L, 1.0))
         assert(e.getMessage.contains(message), s"$bad: ${e.getMessage}")
       }
     }
@@ -97,7 +105,7 @@ class SearchBoundarySpec extends SparkSpec {
         Row(3L, 3L, null, 1.0) -> "column t must not be null, got t=null on edge (3, 3)",
         Row(3L, 3L, 5L, null) -> "column f must not be null, got f=null on edge (3, 3)")
       for ((bad, message) <- cases) {
-        val e = intercept[IllegalArgumentException](call(withRow(bad), 10L))
+        val e = intercept[IllegalArgumentException](call(withRow(bad), 10L, 1.0))
         assert(e.getMessage.contains(message), s"$bad: ${e.getMessage}")
       }
     }
@@ -117,20 +125,20 @@ class SearchBoundarySpec extends SparkSpec {
         "requirement failed: column src must not be null, got src=null",
       partitioned(rows.take(20) ++ loops, rows.drop(20) :+ lowF) ->
         "requirement failed: column t must not be null, got t=null on edge (3, 3)")
-    val calls = entryPoints :+ ("permuteFlows" -> ((e: DataFrame, _: Long) => Randomizer.permuteFlows(e, 1)))
+    val calls = entryPoints :+ ("permuteFlows" -> ((e: DataFrame, _: Long, _: Double) => Randomizer.permuteFlows(e, 1)))
     for ((df, message) <- cases; (name, call) <- calls) {
-      val e = intercept[IllegalArgumentException](call(df, 10L))
+      val e = intercept[IllegalArgumentException](call(df, 10L, 1.0))
       assert(e.getMessage == message, name)
     }
   }
 
   test("an input without src or t is rejected before any Spark job runs, naming the column") {
-    val calls = entryPoints ++ Seq[(String, (DataFrame, Long) => Any)](
-      "permuteFlows" -> ((e, _) => Randomizer.permuteFlows(e, 1)),
-      "NetworkStats.stats" -> ((e, _) => NetworkStats.stats(e)))
+    val calls = entryPoints ++ Seq[(String, (DataFrame, Long, Double) => Any)](
+      "permuteFlows" -> ((e, _, _) => Randomizer.permuteFlows(e, 1)),
+      "NetworkStats.stats" -> ((e, _, _) => NetworkStats.stats(e)))
     for (column <- Seq("src", "t"); (name, call) <- calls)
       rejectedBeforeAnyJob(s"missing-$column-$name", s"field `$column`") {
-        call(TestGraphs.toDf(spark, good).drop(column), 10L)
+        call(TestGraphs.toDf(spark, good).drop(column), 10L, 1.0)
       }
   }
 
@@ -150,7 +158,7 @@ class SearchBoundarySpec extends SparkSpec {
     for (d <- Seq(0L, 10L, Long.MaxValue)) {
       val search = FlowMotifSearch.countInstances(spark, probe, motif, d, 0.5)
       assert(JoinBaseline.count(spark, probe, motif, d, 0.5) == search, s"δ = $d")
-      for ((_, call) <- entryPoints) call(probe, d)
+      for ((_, call) <- entryPoints) call(probe, d, 1.0)
       // Every span on the pair is 0 or 2^64 - 1, so only the one-timestamp runs are within δ.
       val runs = JoinBaseline.quintuples(spark, onePair, d, 0.5).collect().map(q => (q.ts, q.te)).sorted.toSeq
       assert(runs == Seq((Long.MinValue, Long.MinValue), (Long.MaxValue, Long.MaxValue)), s"δ = $d")
@@ -177,7 +185,7 @@ class SearchBoundarySpec extends SparkSpec {
       val (df, ts) = (TestGraphs.toDf(spark, edges), edges.map(_.t))
       assert(FlowMotifSearch.countInstances(spark, df, motif, Long.MaxValue, 1.0) > 0)
       for ((name, call) <- entryPoints)
-        assert(call(df, Long.MaxValue) == call(df, ts.max - ts.min), s"$name on ${edges.length} edges")
+        assert(call(df, Long.MaxValue, 1.0) == call(df, ts.max - ts.min, 1.0), s"$name on ${edges.length} edges")
     }
   }
 
@@ -263,14 +271,14 @@ class SearchBoundarySpec extends SparkSpec {
   }
 
   test("above the bound the aggregates agree with instances, at 1, 4 or 7 partitions") {
-    val (d, phi, k) = (600L, 5.0, 10)
+    val (d, phi) = (600L, 5.0)
     val answers = for (p <- Seq(1, 4, 7)) yield {
       val df = large(p)
       val count = FlowMotifSearch.countInstances(spark, df, motif, d, phi)
       assert(count == FlowMotifSearch.instances(spark, df, motif, d, phi).count(), s"$p partitions")
-      val all = FlowMotifSearch.instances(spark, df, motif, d, 0.0).collect()
-      val top = TopKSearch.topK(spark, df, motif, d, k)
-      assert(top == all.sorted(TopKEnumerator.rowOrder).take(k).toSeq, s"$p partitions")
+      val all = FlowMotifSearch.instances(spark, df, motif, d, 0.0).collect().sorted(TopKEnumerator.rowOrder)
+      val top = for (k <- Seq(10, 100)) yield TopKSearch.topK(spark, df, motif, d, k)
+      for ((t, k) <- top.zip(Seq(10, 100))) assert(t == all.take(k).toSeq, s"k = $k, $p partitions")
       val dp = TopKSearch.maxFlowDP(spark, df, motif, d)
       assert(math.abs(dp - TopKSearch.topK(spark, df, motif, d, 1).head.flow) < 1e-9, s"$p partitions")
       // The random counts depend on the input's partitions (Randomizer.flowVectors); the real count may not.

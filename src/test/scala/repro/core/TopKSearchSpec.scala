@@ -20,6 +20,17 @@ class TopKSearchSpec extends SparkSpec {
       val topk = TopKSearch.topK(spark, df, MotifCatalog.M32, 15, k).map(_.flow)
       assert(topk == all.take(k).toSeq, s"k=$k")
     }
+    // Whole rows, ties included: on small flows many instances tie, and the cyclic motif closes its walk.
+    for ((seed, maxFlow) <- Seq(51 -> 9, 56 -> 3, 57 -> 2); m <- Seq(MotifCatalog.M32, MotifCatalog.M33)) {
+      val edges = TestGraphs.randomEdges(5, 80, 60, maxFlow, seed)
+      for (p <- Seq(1, 4)) {
+        val df = spark.createDataFrame(spark.sparkContext.parallelize(edges, p))
+        val all = FlowMotifSearch.instances(spark, df, m, 15, 0.0).collect().sorted(TopKEnumerator.rowOrder)
+        assert(all.nonEmpty, s"seed=$seed ${m.name}: fixture should have instances")
+        for (k <- Seq(1, 3, 10, 100))
+          assert(TopKSearch.topK(spark, df, m, 15, k) == all.take(k).toSeq, s"seed=$seed ${m.name} p=$p k=$k")
+      }
+    }
   }
 
   test("a k far above the instance count returns every instance, best first") {

@@ -93,6 +93,14 @@ class JobsSpec extends SparkSpec {
       rejected(s"job-args-$i", main, usage, if (args.nonEmpty) Seq("bitcoin") else Seq(sf, sf))
   }
 
+  test("an argument that does not parse fails with the job's usage line; an unknown motif names the known ones") {
+    for (((main, usage, args), i) <- jobs.zipWithIndex; (arg, at) <- args.zipWithIndex if arg.toDoubleOption.nonEmpty)
+      rejected(s"job-number-$i-$at", main, usage, args.updated(at, "abc"))
+    for (((main, _, args), i) <- jobs.zipWithIndex; at = args.indexOf("M(3,2)") if at >= 0)
+      rejected(s"job-motif-$i", main, s"unknown motif M(9,9); known: ${MotifCatalog.all.map(_.name).mkString(", ")}",
+        args.updated(at, "M(9,9)"))
+  }
+
   test("a scale factor that is not a finite number > 0 fails with the job's usage line") {
     for (((main, usage, args), i) <- jobs.zipWithIndex; bad <- Seq("abc", "-1", "0", "NaN", "Infinity", "-Infinity"))
       rejected(s"job-sf-$i-$bad", main, usage, args :+ bad)
