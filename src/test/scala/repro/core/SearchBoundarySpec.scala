@@ -125,7 +125,8 @@ class SearchBoundarySpec extends SparkSpec {
         "requirement failed: column src must not be null, got src=null",
       partitioned(rows.take(20) ++ loops, rows.drop(20) :+ lowF) ->
         "requirement failed: column t must not be null, got t=null on edge (3, 3)")
-    val calls = entryPoints :+ ("permuteFlows" -> ((e: DataFrame, _: Long, _: Double) => Randomizer.permuteFlows(e, 1)))
+    val calls = entryPoints :+
+      ("permuteFlows" -> ((e: DataFrame, _: Long, _: Double) => Randomizer.permuteFlows(e, 1)))
     for ((df, message) <- cases; (name, call) <- calls) {
       val e = intercept[IllegalArgumentException](call(df, 10L, 1.0))
       assert(e.getMessage == message, name)
