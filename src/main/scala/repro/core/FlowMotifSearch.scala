@@ -3,7 +3,7 @@ package repro.core
 import scala.collection.mutable.ArrayBuilder
 import scala.reflect.ClassTag
 import org.apache.spark.TaskContext
-import org.apache.spark.rdd.RDD
+import org.apache.spark.rdd.{PartitionCoalescer, PartitionGroup, RDD}
 import org.apache.spark.sql.{Column, DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions.col
@@ -46,7 +46,8 @@ object FlowMotifSearch {
       (gt, vs, ps) => p2(vs, gt.seriesOf(ps, 0)))
 
   /** The one checked collect every search starts from: `src, dst, t, f`, then `extra`, sorted by
-    * `(src, dst, t, f)`. Column types are checked before any job; each task checks its partition's
+    * `(src, dst, t, f)`. Column types are checked before any job; one wave of at most
+    * `defaultParallelism` tasks reads runs of consecutive input partitions, and each task checks its
     * rows in order, self-loops included, and returns the first bad row's message or else its rows
     * sorted. The driver throws the first message in partition order, or else merges the blocks. */
   private[repro] def checkedEdges(edges: DataFrame, extra: Column*): Interactions = {
@@ -54,9 +55,15 @@ object FlowMotifSearch {
     for ((c, want) <- cols.zip(Seq(LongType, LongType, LongType, DoubleType)); got = edges.schema(c).dataType)
       require(got == want, s"column $c must be ${want.simpleString}, got ${got.simpleString}")
     val extras = extra.length
-    val rows = edges.select(cols.map(col) ++ extra: _*).queryExecution.toRdd
-    // One job over the input's own partitions; this `runJob` cleans one closure, `collect()` two more of Spark's.
-    val blocks = edges.sparkSession.sparkContext.runJob(rows, (_: TaskContext, it: Iterator[InternalRow]) => {
+    // `edges`' own plan when it is already `src, dst, t, f`, planned afresh: its memoized `toRdd` could read a
+    // cache since cleared. The grouping sits above the plan, so `rand` is seeded by each input partition's index.
+    val input = if (extras == 0 && edges.columns.sameElements(cols)) edges else edges.select(cols.map(col) ++ extra: _*)
+    val sc = edges.sparkSession.sparkContext
+    val rows = edges.sparkSession.sessionState.executePlan(input.queryExecution.analyzed).toRdd
+      .coalesce(sc.defaultParallelism, partitionCoalescer = Some(Consecutive))
+    // One wave of tasks, each reading a run of input partitions in order; this `runJob` cleans one closure,
+    // `collect()` two more of Spark's.
+    val blocks = sc.runJob(rows, (_: TaskContext, it: Iterator[InternalRow]) => {
       val (src, dst, t) = (new ArrayBuilder.ofLong, new ArrayBuilder.ofLong, new ArrayBuilder.ofLong)
       val (f, xs) = (new ArrayBuilder.ofDouble, Array.fill(extras)(new ArrayBuilder.ofDouble))
       val bad = it.flatMap { r => // the first bad row's message, if any: reading stops there
@@ -71,10 +78,18 @@ object FlowMotifSearch {
       }.nextOption()
       val block = new Interactions(src.result(), dst.result(), t.result(), f.result(), xs.map(_.result()))
       bad.toLeft(block.sorted(Array.range(0, block.length + 1)))
-    }, rows.partitions.indices).toSeq.map(_.fold(message => throw new IllegalArgumentException(message), identity))
+    }).toSeq.map(_.fold(message => throw new IllegalArgumentException(message), identity))
     def cat[A: ClassTag](column: Interactions => Array[A]) = Array.concat(blocks.map(column): _*)
     new Interactions(cat(_.src), cat(_.dst), cat(_.t), cat(_.f), Array.tabulate(extras)(j => cat(_.extra(j))))
       .sorted(blocks.scanLeft(0)(_ + _.length).toArray)
+  }
+
+  /** At most `max` groups of consecutive partitions, so a task reads its partitions in the input's order. */
+  private object Consecutive extends PartitionCoalescer with Serializable {
+    def coalesce(max: Int, parent: RDD[_]): Array[PartitionGroup] = {
+      val (ps, n) = (parent.partitions, math.min(max, parent.partitions.length))
+      Array.tabulate(n)(g => new PartitionGroup { partitions ++= ps.slice(g * ps.length / n, (g + 1) * ps.length / n) })
+    }
   }
 
   private[core] def instanceRow(vs: Seq[Long], inst: LocalInstance): InstanceRow =

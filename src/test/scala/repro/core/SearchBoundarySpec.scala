@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.{BlockManagerAccess, JobExecutionStatus, SparkJobInfo}
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.functions.{col, rand}
 import org.apache.spark.sql.types._
 import repro.{SparkSpec, TestGraphs}
 import repro.baseline.JoinBaseline
@@ -249,6 +249,76 @@ class SearchBoundarySpec extends SparkSpec {
         assert(j.stageIds.length == 1, s"job ${j.jobId} has stages ${j.stageIds.toSeq}")
       }
     }
+  }
+
+  /** The entry points and the two calls beside them that start from the same checked collect. */
+  private val collectCalls = entryPoints ++ Seq[(String, (DataFrame, Long, Double) => Any)](
+    "permuteFlows" -> ((e, _, _) => Randomizer.permuteFlows(e, 1)),
+    "NetworkStats.stats" -> ((e, _, _) => NetworkStats.stats(e)))
+
+  test("every entry point collects in one stage of min(input partitions, defaultParallelism) tasks") {
+    val sc = spark.sparkContext
+    for (p <- Seq(1, 4, 7, 16); (name, call) <- collectCalls) {
+      val df = spark.createDataFrame(sc.parallelize(good, p))
+      val collect = jobsOf(s"one-wave-$p-$name")(call(df, 10L, 1.0)).minBy(_.jobId) // each call collects first
+      val tasks = collect.stageIds.toSeq.flatMap(sc.statusTracker.getStageInfo).map(_.numTasks)
+      assert(tasks == Seq(math.min(p, sc.defaultParallelism)), s"$name at $p partitions: tasks per stage $tasks")
+    }
+  }
+
+  test("flowVectors' extra columns are rand(seed + r) as the input's own 16 partitions draw it, row for row") {
+    import Ordering.Double.TotalOrdering
+    val df = spark.createDataFrame(spark.sparkContext.parallelize(TestGraphs.randomEdges(9, 300, 60, 5, 84), 16))
+    val (seed, n) = (5L, 2)
+    val (e, _) = Randomizer.flowVectors(df, seed, n)
+    val drawn = df.select(Seq(col("src"), col("dst"), col("t"), col("f")) ++ (0 to n).map(r => rand(seed + r)): _*)
+    val expected = drawn.collect().toSeq // randomEdges repeats no (src, dst, t), so the order is total
+      .map(r => ((r.getLong(0), r.getLong(1), r.getLong(2), r.getDouble(3)), (0 to n).map(j => r.getDouble(4 + j))))
+      .sortBy(_._1)
+    assert(e.length == 300)
+    assert((0 until e.length).map(i => ((e.src(i), e.dst(i), e.t(i), e.f(i)), e.extra.toSeq.map(_(i)))) == expected)
+  }
+
+  test("at 16 input partitions the first bad row in partition order is reported, two bad partitions per task") {
+    val rows = good.map(e => Row(e.src, e.dst, e.t, e.f))
+    /** 16 input partitions of two good rows each, partition i followed by `bad(i)`. */
+    def withBad(bad: Map[Int, Row]): DataFrame = {
+      val parts = (0 until 16).map(i => rows.slice(2 * i, 2 * i + 2) ++ bad.get(i))
+      spark.createDataFrame(spark.sparkContext.parallelize(parts, 16).flatMap(identity), schema)
+    }
+    val (lowF, nullSrc, nullT) = (Row(1L, 2L, 5L, -1.0), Row(null, 2L, 5L, 1.0), Row(3L, 3L, null, 1.0))
+    val lowFMessage = "requirement failed: column f must be positive and finite, got f=-1.0 at t=5"
+    val nullTMessage = "requirement failed: column t must not be null, got t=null on edge (3, 3)"
+    // On 4 cores one task reads partitions 4 to 7 and a later one 12 to 15.
+    val cases = Seq(
+      Map(6 -> lowF, 7 -> nullSrc, 12 -> nullT) -> lowFMessage,
+      Map(6 -> nullT, 7 -> nullSrc, 12 -> lowF) -> nullTMessage,
+      Map(7 -> nullSrc, 12 -> lowF) -> "requirement failed: column src must not be null, got src=null")
+    for ((bad, message) <- cases; (name, call) <- collectCalls) {
+      val e = intercept[IllegalArgumentException](call(withBad(bad), 10L, 1.0))
+      assert(e.getMessage == message, s"$name, bad rows in partitions ${bad.keys.toSeq.sorted}")
+    }
+  }
+
+  test("a call reads the input's cache as it is now: re-cached after clearCache, same answers, one RDD cached") {
+    val sc = spark.sparkContext
+    val reads = sc.longAccumulator("input rows computed")
+    val df = spark.createDataFrame(sc.parallelize(good, 4).map { e => reads.add(1); e })
+    val before = sc.getRDDStorageInfo.map(_.id).toSet
+    def answers = (FlowMotifSearch.countInstances(spark, df, motif, 10, 1.0), TopKSearch.topK(spark, df, motif, 10, 3),
+      TopKSearch.maxFlowDP(spark, df, motif, 10), Significance.study(spark, df, motif, 10, 1.0, nRandom = 2),
+      NetworkStats.stats(df))
+    try {
+      df.cache().count()
+      val first = answers
+      spark.catalog.clearCache()
+      df.cache().count()
+      reads.reset()
+      assert(answers == first)
+      assert(reads.value == 0, "a call computed the input again instead of reading its cache")
+      val cached = sc.getRDDStorageInfo.filterNot(r => before(r.id))
+      assert(cached.length == 1, cached.map(_.name).toSeq)
+    } finally df.unpersist()
   }
 
   test("the large input is above the driver walk's bound, the small one below") {
