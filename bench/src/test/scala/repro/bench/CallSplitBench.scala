@@ -11,9 +11,11 @@ import repro.stats.Significance
 /** Where one warm call's time goes: planning the checked collect, its scan job (with the job's task
   * count), the driver's merge of the blocks, the `Index`, and the walk with phase P2, each the median
   * of warm calls, next to the whole call. Planning runs from the call to the job's submission and the
-  * merge from the job's end to the collect's return, by the scheduler's clock (ms). The inputs are fixed
-  * (perfbench's `search-sparse` and `significance` inputs, and bitcoin-like at sf 10), not scaled by
-  * BENCH_SF.
+  * merge from the job's end to the collect's return, by the scheduler's clock (ms). The walk + P2 column
+  * times this suite's copy of the call's aggregate step, not the call's own. The inputs are fixed
+  * (perfbench's `search-sparse` and `significance` inputs, and bitcoin-like at sf 1 and 10, on either
+  * side of the size up to which the collect runs one wave of tasks), not scaled by BENCH_SF. `est MB`
+  * is the cached input's size as Spark estimates it, in MB of 2^20 bytes.
   */
 class CallSplitBench extends BenchBase {
   import CallSplitBench.Split
@@ -63,22 +65,25 @@ class CallSplitBench extends BenchBase {
         FlowMotifSearch.countInstances(spark, _, m, delta, 5.0), 40),
       ("significance, study R = 2", InteractionGen.facebookLike(spark, 0.25, 43), studyCall,
         Significance.study(spark, _, m, delta, 3.0, r, seed), 40),
+      ("bitcoin-like sf 1, count", InteractionGen.bitcoinLike(spark, 1.0), searchCall,
+        FlowMotifSearch.countInstances(spark, _, m, delta, 5.0), 20),
       ("bitcoin-like sf 10, count", InteractionGen.bitcoinLike(spark, 10.0), searchCall,
         FlowMotifSearch.countInstances(spark, _, m, delta, 5.0), 7))
-    println(f"${"input, call"}%-28s${"rows"}%9s${"tasks"}%7s${"plan"}%8s${"scan"}%8s${"merge"}%8s" +
+    println(f"${"input, call"}%-28s${"rows"}%9s${"est MB"}%8s${"tasks"}%7s${"plan"}%8s${"scan"}%8s${"merge"}%8s" +
       f"${"Index"}%8s${"walk+P2"}%9s${"call"}%8s")
     sc.addSparkListener(Jobs)
     try for ((name, input, call, whole, n) <- cases) {
       val df = input.cache()
       val rows = df.count()
+      val est = spark.sessionState.executePlan(df.queryExecution.analyzed).optimizedPlan.stats.sizeInBytes
+      val estMb = est.toDouble / (1 << 20)
       for (_ <- 1 to math.max(3, n / 4)) call(df)
       val splits = Seq.fill(n)(call(df))
       val calls = Seq.fill(n)(timed(whole(df))._2 * 1e3)
       df.unpersist()
       val tasks = splits.map(_.tasks).max
-      assert(tasks <= sc.defaultParallelism, s"$name: the scan job ran $tasks tasks")
       def med(layer: Split => Double) = median(splits.map(layer))
-      println(f"$name%-28s$rows%9d$tasks%7d${med(_.plan)}%8.1f${med(_.scan)}%8.1f${med(_.merge)}%8.1f" +
+      println(f"$name%-28s$rows%9d$estMb%8.3f$tasks%7d${med(_.plan)}%8.1f${med(_.scan)}%8.1f${med(_.merge)}%8.1f" +
         f"${med(_.index)}%8.1f${med(_.walk)}%9.1f${median(calls)}%8.1f")
     } finally sc.removeSparkListener(Jobs)
   }

@@ -46,8 +46,8 @@ object FlowMotifSearch {
       (gt, vs, ps) => p2(vs, gt.seriesOf(ps, 0)))
 
   /** The one checked collect every search starts from: `src, dst, t, f`, then `extra`, sorted by
-    * `(src, dst, t, f)`. Column types are checked before any job; one wave of at most
-    * `defaultParallelism` tasks reads runs of consecutive input partitions, and each task checks its
+    * `(src, dst, t, f)`. Column types are checked before any job; a small input is read by one wave of
+    * at most `defaultParallelism` tasks over runs of consecutive partitions, and each task checks its
     * rows in order, self-loops included, and returns the first bad row's message or else its rows
     * sorted. The driver throws the first message in partition order, or else merges the blocks. */
   private[repro] def checkedEdges(edges: DataFrame, extra: Column*): Interactions = {
@@ -59,10 +59,14 @@ object FlowMotifSearch {
     // cache since cleared. The grouping sits above the plan, so `rand` is seeded by each input partition's index.
     val input = if (extras == 0 && edges.columns.sameElements(cols)) edges else edges.select(cols.map(col) ++ extra: _*)
     val sc = edges.sparkSession.sparkContext
-    val rows = edges.sparkSession.sessionState.executePlan(input.queryExecution.analyzed).toRdd
-      .coalesce(sc.defaultParallelism, partitionCoalescer = Some(Consecutive))
-    // One wave of tasks, each reading a run of input partitions in order; this `runJob` cleans one closure,
-    // `collect()` two more of Spark's.
+    val plan = edges.sparkSession.sessionState.executePlan(input.queryExecution.analyzed)
+    // An input Spark estimates at 1 MB or less scans in less time than a second wave of tasks starts, so it runs as
+    // one wave, each task reading a run of input partitions in order. A larger input, or one Spark cannot size (an
+    // RDD's), keeps one task per partition, which Spark spreads over the cores however skewed the partitions are.
+    val small = plan.optimizedPlan.stats.sizeInBytes <= (1 << 20)
+    val rows =
+      if (small) plan.toRdd.coalesce(sc.defaultParallelism, partitionCoalescer = Some(Consecutive)) else plan.toRdd
+    // This `runJob` cleans one closure, `collect()` two more of Spark's.
     val blocks = sc.runJob(rows, (_: TaskContext, it: Iterator[InternalRow]) => {
       val (src, dst, t) = (new ArrayBuilder.ofLong, new ArrayBuilder.ofLong, new ArrayBuilder.ofLong)
       val (f, xs) = (new ArrayBuilder.ofDouble, Array.fill(extras)(new ArrayBuilder.ofDouble))

@@ -57,15 +57,7 @@ object MaxFlowDP {
     val m = series.length
     val from = series.map(Series.lowerBound(_, windowStart))
     val until = series.map(Series.upperBound(_, windowEnd))
-    // The grid: the slices' timestamps merged in order, each once, with no boxing.
-    val (at, grid) = (from.toArray, new scala.collection.mutable.ArrayBuilder.ofLong)
-    while ((0 until m).exists(e => at(e) < until(e))) {
-      var t = Long.MaxValue
-      for (e <- 0 until m if at(e) < until(e)) t = math.min(t, series(e)(at(e)).t)
-      grid += t
-      for (e <- 0 until m) while (at(e) < until(e) && series(e)(at(e)).t == t) at(e) += 1
-    }
-    val ts = grid.result()
+    val ts = (0 until m).flatMap(e => (from(e) until until(e)).map(series(e)(_).t)).distinct.sorted.toArray
     val tau = ts.length
 
     // flowsum(e)(i) = cumulative flow of series(e) elements in [windowStart, ts(i)]

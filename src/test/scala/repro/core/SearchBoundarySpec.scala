@@ -256,19 +256,47 @@ class SearchBoundarySpec extends SparkSpec {
     "permuteFlows" -> ((e, _, _) => Randomizer.permuteFlows(e, 1)),
     "NetworkStats.stats" -> ((e, _, _) => NetworkStats.stats(e)))
 
-  test("every entry point collects in one stage of min(input partitions, defaultParallelism) tasks") {
+  /** Partitions enough that `Consecutive` gives every task a run of at least four, on any number of cores. */
+  private def manyPartitions = 4 * math.max(4, spark.sparkContext.defaultParallelism)
+
+  /** `df` cached, so Spark knows its size. */
+  private def cached(df: DataFrame): DataFrame = { df.cache().count(); df }
+
+  /** The task count of each stage of the first job `call` runs: every entry point collects first. */
+  private def collectTasks(group: String)(call: => Any): Seq[Int] = {
     val sc = spark.sparkContext
-    for (p <- Seq(1, 4, 7, 16); (name, call) <- collectCalls) {
-      val df = spark.createDataFrame(sc.parallelize(good, p))
-      val collect = jobsOf(s"one-wave-$p-$name")(call(df, 10L, 1.0)).minBy(_.jobId) // each call collects first
-      val tasks = collect.stageIds.toSeq.flatMap(sc.statusTracker.getStageInfo).map(_.numTasks)
-      assert(tasks == Seq(math.min(p, sc.defaultParallelism)), s"$name at $p partitions: tasks per stage $tasks")
+    jobsOf(group)(call).minBy(_.jobId).stageIds.toSeq.flatMap(sc.statusTracker.getStageInfo).map(_.numTasks)
+  }
+
+  test("every entry point collects a small input in one stage of min(input partitions, defaultParallelism) tasks") {
+    val sc = spark.sparkContext
+    for (p <- Seq(1, 4, 7, 16, manyPartitions).distinct) {
+      val df = cached(spark.createDataFrame(sc.parallelize(good, p)))
+      try for ((name, call) <- collectCalls) {
+        val tasks = collectTasks(s"one-wave-$p-$name")(call(df, 10L, 1.0))
+        assert(tasks == Seq(math.min(p, sc.defaultParallelism)), s"$name at $p partitions: tasks per stage $tasks")
+      } finally df.unpersist()
     }
   }
 
-  test("flowVectors' extra columns are rand(seed + r) as the input's own 16 partitions draw it, row for row") {
+  test("an input Spark cannot size, or sizes above 1 MB, is collected with one task per partition") {
+    val p = manyPartitions
+    val sized = spark.range(0, 200000, 1, p).select(col("id").as("src"), (col("id") + 1).as("dst"), col("id").as("t"),
+      (col("id") % 7 + 1).cast(DoubleType).as("f"))
+    assert(sized.queryExecution.optimizedPlan.stats.sizeInBytes > (1 << 20))
+    for ((name, df) <- Seq("an RDD's" -> large(p), "200K rows of spark.range" -> sized)) {
+      val tasks = collectTasks(s"per-partition-$name")(FlowMotifSearch.checkedEdges(df))
+      assert(tasks == Seq(p), s"$name input: tasks per stage $tasks")
+    }
+    val tasks = collectTasks("per-partition-countInstances")(FlowMotifSearch.countInstances(spark, large(p), motif, 600,
+      5.0))
+    assert(tasks == Seq(p), s"countInstances: tasks per stage $tasks")
+  }
+
+  test("flowVectors' extra columns are rand(seed + r) as the input's own partitions draw it, row for row") {
     import Ordering.Double.TotalOrdering
-    val df = spark.createDataFrame(spark.sparkContext.parallelize(TestGraphs.randomEdges(9, 300, 60, 5, 84), 16))
+    val df = cached(spark.createDataFrame(spark.sparkContext.parallelize(TestGraphs.randomEdges(9, 300, 60, 5, 84),
+      manyPartitions)))
     val (seed, n) = (5L, 2)
     val (e, _) = Randomizer.flowVectors(df, seed, n)
     val drawn = df.select(Seq(col("src"), col("dst"), col("t"), col("f")) ++ (0 to n).map(r => rand(seed + r)): _*)
@@ -276,27 +304,32 @@ class SearchBoundarySpec extends SparkSpec {
       .map(r => ((r.getLong(0), r.getLong(1), r.getLong(2), r.getDouble(3)), (0 to n).map(j => r.getDouble(4 + j))))
       .sortBy(_._1)
     assert(e.length == 300)
-    assert((0 until e.length).map(i => ((e.src(i), e.dst(i), e.t(i), e.f(i)), e.extra.toSeq.map(_(i)))) == expected)
+    try assert((0 until e.length).map(i => ((e.src(i), e.dst(i), e.t(i), e.f(i)), e.extra.toSeq.map(_(i)))) == expected)
+    finally df.unpersist()
   }
 
-  test("at 16 input partitions the first bad row in partition order is reported, two bad partitions per task") {
-    val rows = good.map(e => Row(e.src, e.dst, e.t, e.f))
-    /** 16 input partitions of two good rows each, partition i followed by `bad(i)`. */
+  test("the first bad row in partition order is reported, two bad partitions per task") {
+    val (rows, p) = (good.map(e => Row(e.src, e.dst, e.t, e.f)), manyPartitions)
+    /** `p` input partitions of up to two good rows each, partition i followed by `bad(i)`; cached, so it is small. */
     def withBad(bad: Map[Int, Row]): DataFrame = {
-      val parts = (0 until 16).map(i => rows.slice(2 * i, 2 * i + 2) ++ bad.get(i))
-      spark.createDataFrame(spark.sparkContext.parallelize(parts, 16).flatMap(identity), schema)
+      val parts = (0 until p).map(i => rows.slice(2 * i, 2 * i + 2) ++ bad.get(i))
+      cached(spark.createDataFrame(spark.sparkContext.parallelize(parts, p).flatMap(identity), schema))
     }
     val (lowF, nullSrc, nullT) = (Row(1L, 2L, 5L, -1.0), Row(null, 2L, 5L, 1.0), Row(3L, 3L, null, 1.0))
     val lowFMessage = "requirement failed: column f must be positive and finite, got f=-1.0 at t=5"
     val nullTMessage = "requirement failed: column t must not be null, got t=null on edge (3, 3)"
-    // On 4 cores one task reads partitions 4 to 7 and a later one 12 to 15.
+    // Each task reads a run of at least four partitions, p / defaultParallelism of them from a multiple of four:
+    // 6 and 7 share a run, and 12 is in a later one.
     val cases = Seq(
       Map(6 -> lowF, 7 -> nullSrc, 12 -> nullT) -> lowFMessage,
       Map(6 -> nullT, 7 -> nullSrc, 12 -> lowF) -> nullTMessage,
       Map(7 -> nullSrc, 12 -> lowF) -> "requirement failed: column src must not be null, got src=null")
-    for ((bad, message) <- cases; (name, call) <- collectCalls) {
-      val e = intercept[IllegalArgumentException](call(withBad(bad), 10L, 1.0))
-      assert(e.getMessage == message, s"$name, bad rows in partitions ${bad.keys.toSeq.sorted}")
+    for ((bad, message) <- cases) {
+      val df = withBad(bad)
+      try for ((name, call) <- collectCalls) {
+        val e = intercept[IllegalArgumentException](call(df, 10L, 1.0))
+        assert(e.getMessage == message, s"$name, bad rows in partitions ${bad.keys.toSeq.sorted}")
+      } finally df.unpersist()
     }
   }
 
