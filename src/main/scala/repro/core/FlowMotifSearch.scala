@@ -60,12 +60,10 @@ object FlowMotifSearch {
     val input = if (extras == 0 && edges.columns.sameElements(cols)) edges else edges.select(cols.map(col) ++ extra: _*)
     val sc = edges.sparkSession.sparkContext
     val plan = edges.sparkSession.sessionState.executePlan(input.queryExecution.analyzed)
-    // An input Spark estimates at 1 MB or less scans in less time than a second wave of tasks starts, so it runs as
-    // one wave, each task reading a run of input partitions in order. A larger input, or one Spark cannot size (an
-    // RDD's), keeps one task per partition, which Spark spreads over the cores however skewed the partitions are.
-    val small = plan.optimizedPlan.stats.sizeInBytes <= (1 << 20)
-    val rows =
-      if (small) plan.toRdd.coalesce(sc.defaultParallelism, partitionCoalescer = Some(Consecutive)) else plan.toRdd
+    // An input Spark sizes at 1 MB or less scans faster than a second wave of tasks starts, so one wave reads runs of
+    // its partitions in order. A larger or unsized one keeps a task per partition, which Spark spreads however skewed.
+    val rows = if (plan.optimizedPlan.stats.sizeInBytes > (1 << 20)) plan.toRdd
+      else plan.toRdd.coalesce(sc.defaultParallelism, partitionCoalescer = Some(Consecutive))
     // This `runJob` cleans one closure, `collect()` two more of Spark's.
     val blocks = sc.runJob(rows, (_: TaskContext, it: Iterator[InternalRow]) => {
       val (src, dst, t) = (new ArrayBuilder.ofLong, new ArrayBuilder.ofLong, new ArrayBuilder.ofLong)
