@@ -28,13 +28,11 @@ private[repro] final class Index private (
   /** Interactions × flow vectors: how much a walk with phase P2 reads. */
   def cells: Long = t.length.toLong * f.length
 
-  /** The pairs out of `keys(k)`; none for `k < 0`, a vertex with no out-edges. */
-  private[core] def pairsAt(k: Int): Range = if (k < 0) Range(0, 0) else Range(off(k), off(k + 1))
-
-  /** The key position of each pair's destination, or −1 for a sink, so the walk finds the next vertex's pairs
-    * in O(1). Found by binary search once per index and never serialized: each executor computes its own. */
-  @transient private[core] lazy val dstKey: Array[Int] =
-    java.util.Arrays.stream(dst).mapToInt(w => math.max(-1, java.util.Arrays.binarySearch(keys, w))).toArray
+  /** The pairs out of `v`, by binary search on `keys`; none if `v` has no out-edges. */
+  private[core] def pairsOf(v: Long): Range = {
+    val i = java.util.Arrays.binarySearch(keys, v)
+    if (i < 0) Range(0, 0) else Range(off(i), off(i + 1))
+  }
 
   /** `R(p)` under flow vector `j`: a view over the shared arrays, sorted by `(t, f(j))`. */
   private[core] def series(p: Int, j: Int): IndexedSeq[TF] = new Index.SeriesView(t, f(j), lo(p), lo(p + 1))

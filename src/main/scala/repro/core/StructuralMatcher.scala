@@ -13,9 +13,9 @@ import org.apache.spark.sql.types.{LongType, StructField, StructType}
   *
   * This is the paper's modified DFS over the [[Index]] that the caller builds on the driver,
   * which walks a small index itself ([[aggregate]]) and otherwise broadcasts it, each task
-  * walking the spanning path from its share of the start vertices. The walk carries each bound
-  * vertex's key position, so the pairs out of it are found in O(1) (`Index.dstKey`). It binds a
-  * motif vertex on its first visit to any out-neighbour not bound yet (the vertex bijection), and on a
+  * walking the spanning path from its share of the start vertices. The pairs out of a vertex
+  * are found by binary search on the index's sorted sources. The walk binds a motif vertex
+  * on its first visit to any out-neighbour not bound yet (the vertex bijection), and on a
   * revisit (cycle closure) follows only the edge to the vertex already bound. The pair id
   * of each traversed edge rides along, so phase P2 reads each match's series from the index
   * and no join is needed.
@@ -81,25 +81,24 @@ object StructuralMatcher {
       step: (A, Index, Array[Long], Array[Int]) => A): A = {
     val path = motif.path
     val vs = new Array[Long](motif.numVertices)
-    val ks = new Array[Int](motif.numVertices) // the key position of each bound vertex, −1 for a sink
-    val (ps, next) = (new Array[Int](motif.m), gt.dstKey)
+    val ps = new Array[Int](motif.m)
     var acc = zero
 
     def dfs(i: Int, bound: Int): Unit =
       if (i == motif.m) acc = step(acc, gt, vs, ps)
       else {
         val b = path(i + 1)
-        for (p <- gt.pairsAt(ks(path(i)))) {
+        for (p <- gt.pairsOf(vs(path(i)))) {
           val w = gt.dst(p)
           if (b < bound) {
             if (w == vs(b)) { ps(i) = p; dfs(i + 1, bound) } // cycle closure
           } else if (!vs.iterator.take(bound).contains(w)) { // injectivity
-            vs(b) = w; ks(b) = next(p); ps(i) = p; dfs(i + 1, bound + 1)
+            vs(b) = w; ps(i) = p; dfs(i + 1, bound + 1)
           }
         }
       }
 
-    for (k <- keys) { vs(0) = gt.keys(k); ks(0) = k; dfs(0, 1) }
+    for (k <- keys) { vs(0) = gt.keys(k); dfs(0, 1) }
     acc
   }
 }

@@ -16,9 +16,6 @@ class IndexSpec extends SparkSpec {
     Index(e, flows(e))
   }
 
-  /** The pairs out of `v`, found by binary search on the sorted sources. */
-  private def pairsOf(gt: Index, v: Long): Range = gt.pairsAt(java.util.Arrays.binarySearch(gt.keys, v))
-
   /** `TimeSeriesGraph.build`'s series per pair. */
   private def reference(df: DataFrame): Map[(Long, Long), Seq[TF]] =
     TimeSeriesGraph.build(df).collect().map { r =>
@@ -27,7 +24,7 @@ class IndexSpec extends SparkSpec {
 
   /** Every pair of `gt` with its series under vector `j`. */
   private def seriesByPair(gt: Index, j: Int): Map[(Long, Long), Seq[TF]] =
-    gt.keys.iterator.flatMap(u => pairsOf(gt, u).map(p => (u, gt.dst(p)) -> gt.series(p, j).toVector)).toMap
+    gt.keys.iterator.flatMap(u => gt.pairsOf(u).map(p => (u, gt.dst(p)) -> gt.series(p, j).toVector)).toMap
 
   for (seed <- 1 to 4) {
     test(s"pairs, out-neighbours and series equal TimeSeriesGraph.build's (seed $seed)") {
@@ -39,7 +36,7 @@ class IndexSpec extends SparkSpec {
       assert(gt.pairs == ref.size)
       assert(seriesByPair(gt, 0) == ref)
       for (v <- 0L to 8L) // 7 and 8 have no edges at all
-        assert(pairsOf(gt, v).map(gt.dst(_)) == ref.keys.collect { case (`v`, w) => w }.toSeq.sorted, s"vertex $v")
+        assert(gt.pairsOf(v).map(gt.dst(_)) == ref.keys.collect { case (`v`, w) => w }.toSeq.sorted, s"vertex $v")
     }
   }
 
@@ -50,28 +47,17 @@ class IndexSpec extends SparkSpec {
     // Vector 1 is a function of each interaction that reorders runs of equal (src, dst, t).
     def flows(e: Interactions) = Vector(e.f, Array.tabulate(e.length)(i => 5 - e.f(i)))
     def contents(gt: Index) =
-      (gt.pairs, (0L to 6L).map(v => pairsOf(gt, v).map(gt.dst(_))), (0 to 1).map(seriesByPair(gt, _)))
+      (gt.pairs, (0L to 6L).map(v => gt.pairsOf(v).map(gt.dst(_))), (0 to 1).map(seriesByPair(gt, _)))
     val expected = contents(index(TestGraphs.toDf(spark, edges), flows))
     for (es <- Seq(edges, rnd.shuffle(edges)); p <- Seq(1, 4, 7))
       assert(contents(index(spark.createDataFrame(spark.sparkContext.parallelize(es, p)), flows)) == expected,
         s"$p partitions")
   }
 
-  test("each pair's dstKey is the key position of its destination, or -1 for a sink") {
-    val rnd = new scala.util.Random(6)
-    val edges = Vector.fill(120)(TestGraphs.Edge(rnd.nextInt(9), rnd.nextInt(12), rnd.nextInt(10), 1.0))
-    for (p <- Seq(1, 4, 7)) {
-      val gt = index(spark.createDataFrame(spark.sparkContext.parallelize(edges, p)))
-      assert(gt.dstKey.length == gt.pairs)
-      assert(gt.dstKey.toSeq == (0 until gt.pairs).map(q => gt.keys.indexOf(gt.dst(q))), s"$p partitions")
-      assert(gt.dstKey.contains(-1) && gt.dstKey.exists(_ >= 0)) // vertices 9 to 11 are sinks
-    }
-  }
-
   test("a vertex with only in-edges gives no pairs") {
     val gt = index(TestGraphs.toDf(spark, TestGraphs.fig2Edges :+ TestGraphs.Edge(2, 9, 20, 1.0)))
-    assert(pairsOf(gt, 9).isEmpty)
-    assert(pairsOf(gt, 2).map(gt.dst(_)) == Seq(3L, 9L))
+    assert(gt.pairsOf(9).isEmpty)
+    assert(gt.pairsOf(2).map(gt.dst(_)) == Seq(3L, 9L))
   }
 
   test("empty input and self-loop-only input give 0 pairs") {
@@ -79,7 +65,7 @@ class IndexSpec extends SparkSpec {
     for (edges <- Seq(Vector.empty[TestGraphs.Edge], loops)) {
       val gt = index(TestGraphs.toDf(spark, edges))
       assert(gt.pairs == 0 && gt.keys.isEmpty)
-      assert(pairsOf(gt, 1).isEmpty)
+      assert(gt.pairsOf(1).isEmpty)
     }
   }
 
@@ -95,7 +81,7 @@ class IndexSpec extends SparkSpec {
       val carrying = (0 until e.length).map(i => TestGraphs.Edge(e.src(i), e.dst(i), e.t(i), flows(j)(i)))
       assert(seriesByPair(gt, j) == reference(TestGraphs.toDf(spark, carrying)), s"vector $j")
     }
-    assert(gt.series(pairsOf(gt, 1).head, 1) == Seq(TF(5, 4.0), TF(5, 5.0), TF(5, 6.0), TF(8, 3.0)))
+    assert(gt.series(gt.pairsOf(1).head, 1) == Seq(TF(5, 4.0), TF(5, 5.0), TF(5, 6.0), TF(8, 3.0)))
   }
 
   test("the Java-serialized index of bitcoinLike(sf 0.25) takes at most 32 B per interaction") {
