@@ -288,9 +288,8 @@ class SearchBoundarySpec extends SparkSpec {
       val tasks = collectTasks(s"per-partition-$name")(FlowMotifSearch.checkedEdges(df))
       assert(tasks == Seq(p), s"$name input: tasks per stage $tasks")
     }
-    val tasks = collectTasks("per-partition-countInstances")(FlowMotifSearch.countInstances(spark, large(p), motif, 600,
-      5.0))
-    assert(tasks == Seq(p), s"countInstances: tasks per stage $tasks")
+    val count = collectTasks("per-partition-count")(FlowMotifSearch.countInstances(spark, large(p), motif, 600, 5))
+    assert(count == Seq(p), s"countInstances: tasks per stage $count")
   }
 
   test("flowVectors' extra columns are rand(seed + r) as the input's own partitions draw it, row for row") {
@@ -303,9 +302,10 @@ class SearchBoundarySpec extends SparkSpec {
     val expected = drawn.collect().toSeq // randomEdges repeats no (src, dst, t), so the order is total
       .map(r => ((r.getLong(0), r.getLong(1), r.getLong(2), r.getDouble(3)), (0 to n).map(j => r.getDouble(4 + j))))
       .sortBy(_._1)
-    assert(e.length == 300)
-    try assert((0 until e.length).map(i => ((e.src(i), e.dst(i), e.t(i), e.f(i)), e.extra.toSeq.map(_(i)))) == expected)
-    finally df.unpersist()
+    try {
+      assert(e.length == 300)
+      assert((0 until e.length).map(i => ((e.src(i), e.dst(i), e.t(i), e.f(i)), e.extra.toSeq.map(_(i)))) == expected)
+    } finally df.unpersist()
   }
 
   test("the first bad row in partition order is reported, two bad partitions per task") {
@@ -318,8 +318,8 @@ class SearchBoundarySpec extends SparkSpec {
     val (lowF, nullSrc, nullT) = (Row(1L, 2L, 5L, -1.0), Row(null, 2L, 5L, 1.0), Row(3L, 3L, null, 1.0))
     val lowFMessage = "requirement failed: column f must be positive and finite, got f=-1.0 at t=5"
     val nullTMessage = "requirement failed: column t must not be null, got t=null on edge (3, 3)"
-    // Each task reads a run of at least four partitions, p / defaultParallelism of them from a multiple of four:
-    // 6 and 7 share a run, and 12 is in a later one.
+    // Each task reads a run of at least four partitions; on two or more cores 6 and 7 share a run and 12 is in a
+    // later one.
     val cases = Seq(
       Map(6 -> lowF, 7 -> nullSrc, 12 -> nullT) -> lowFMessage,
       Map(6 -> nullT, 7 -> nullSrc, 12 -> lowF) -> nullTMessage,
