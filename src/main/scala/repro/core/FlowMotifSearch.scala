@@ -15,23 +15,12 @@ import org.apache.spark.sql.types.{DoubleType, LongType}
   */
 final case class MatchRow(vs: Seq[Long], series: Seq[Seq[TF]])
 
-/** A flow motif instance as a Spark row: the vertex mapping, its flow
-  * (Equation 1), its temporal extent, and its edge-sets.
-  */
-final case class InstanceRow(
-    vs: Seq[Long],
-    flow: Double,
-    tStart: Long,
-    tEnd: Long,
-    sets: Seq[Seq[TF]]
-)
-
 /** The paper's two-phase flow motif search, distributed:
-  * P1 = [[StructuralMatcher]] (the spanning-path DFS over the broadcast `G_T`
-  * [[Index]], which hands each match over as the pairs its edges traverse);
+  * P1 = [[StructuralMatcher]] (the spanning-path DFS over the `G_T` [[Index]], broadcast unless the
+  * driver walks a small one itself; it hands each match over as the pairs its edges traverse);
   * P2 = [[LocalEnumerator]] (Algorithm 1), run on each match inside the
-  * walk that found it: by [[perMatch]] for the distributed outputs and the join
-  * baseline's step 1, or by [[StructuralMatcher.aggregate]] for a count.
+  * walk that found it: by [[perMatch]] for the distributed outputs and the join baseline's step 1,
+  * or by [[StructuralMatcher.aggregate]] for every scalar answer (count, top-k, top-1 and the study).
   */
 object FlowMotifSearch {
 
@@ -51,7 +40,7 @@ object FlowMotifSearch {
     * rows in order, self-loops included, and returns the first bad row's message or else its rows
     * sorted. The driver throws the first message in partition order, or else merges the blocks. */
   private[repro] def checkedEdges(edges: DataFrame, extra: Column*): Interactions = {
-    val cols = Vector("src", "dst", "t", "f") // rows are read by position: the select fixes the order
+    val cols = Vector("src", "dst", "t", "f") // rows are read by position: the input, or else the select, is in this order
     for ((c, want) <- cols.zip(Seq(LongType, LongType, LongType, DoubleType)); got = edges.schema(c).dataType)
       require(got == want, s"column $c must be ${want.simpleString}, got ${got.simpleString}")
     val extras = extra.length
@@ -94,9 +83,6 @@ object FlowMotifSearch {
     }
   }
 
-  private[core] def instanceRow(vs: Seq[Long], inst: LocalInstance): InstanceRow =
-    InstanceRow(vs, inst.flow, inst.tStart, inst.tEnd, inst.sets)
-
   /** Phase P1 alone: one [[MatchRow]] per structural match. */
   def matchRows(spark: SparkSession, edges: DataFrame, motif: Motif): Dataset[MatchRow] = {
     import spark.implicits._
@@ -119,7 +105,7 @@ object FlowMotifSearch {
     LocalEnumerator.requirePhi(phi)
     spark.createDataset(perMatch(edges, motif) { (vs, series) =>
       val v = vs.toSeq
-      LocalEnumerator.enumerate(series, delta, phi).map(instanceRow(v, _))
+      LocalEnumerator.enumerate(series, delta, phi).map(_.copy(vs = v))
     }.flatMap(identity))
   }
 

@@ -44,21 +44,21 @@ object LocalEnumerator {
     * `series(i)` is the interaction series mapped to motif edge label i+1.
     */
   def enumerate(
-      seriesIn: IndexedSeq[IndexedSeq[TF]],
+      series: IndexedSeq[IndexedSeq[TF]],
       delta: Long,
       phi: Double
-  ): Vector[LocalInstance] = {
+  ): Vector[InstanceRow] = {
     requirePhi(phi)
-    val out = Vector.newBuilder[LocalInstance]
-    search(seriesIn, delta)(_ >= phi)(out += _)
+    val out = Vector.newBuilder[InstanceRow]
+    search(series, delta)(_ >= phi)(out += _)
     out.result()
   }
 
   /** Count instances without materializing them. */
-  def count(seriesIn: IndexedSeq[IndexedSeq[TF]], delta: Long, phi: Double): Long = {
+  def count(series: IndexedSeq[IndexedSeq[TF]], delta: Long, phi: Double): Long = {
     requirePhi(phi)
     var n = 0L
-    search(seriesIn, delta)(_ >= phi)(_ => n += 1)
+    search(series, delta)(_ >= phi)(_ => n += 1)
     n
   }
 
@@ -70,14 +70,12 @@ object LocalEnumerator {
   /** The one check on φ, made as [[requireDelta]] is: no flow passes `flow >= NaN`. φ = ±∞ stays legal. */
   def requirePhi(phi: Double): Unit = require(!phi.isNaN, s"phi must be a number, got $phi")
 
-  /** Normalize `seriesIn` once and call `visit(series, a, windowEnd)` for every
-    * window `[R(e_1)(a).t, R(e_1)(a).t + δ]` the skip rule keeps, in order.
+  /** Check `series` once and call `visit(a, windowEnd)` for every window
+    * `[R(e_1)(a).t, R(e_1)(a).t + δ]` the skip rule keeps, in order.
     */
-  def windows(seriesIn: IndexedSeq[IndexedSeq[TF]], delta: Long)(
-      visit: (IndexedSeq[IndexedSeq[TF]], Int, Long) => Unit
-  ): Unit = {
+  private[core] def windows(series: IndexedSeq[IndexedSeq[TF]], delta: Long)(visit: (Int, Long) => Unit): Unit = {
     requireDelta(delta)
-    val series = Series.normalize(seriesIn)
+    Series.check(series)
     if (series.isEmpty || series.exists(_.isEmpty)) return
     val e1 = series.head
     val em = series.last
@@ -86,7 +84,7 @@ object LocalEnumerator {
       val we = if (e1(a).t > Long.MaxValue - delta) Long.MaxValue else e1(a).t + delta // saturated, never wraps
       // Skip rule: no R(e_m) element in (previous end, we] => only non-maximal instances.
       if (lo < em.length && em(lo).t <= we) {
-        visit(series, a, we)
+        visit(a, we)
         lo = Series.upperBound(em, we)
       }
     }
@@ -97,14 +95,14 @@ object LocalEnumerator {
     * each admissible prefix (the instance flow so far) and is re-evaluated on
     * every prefix, so its threshold may rise while the search runs. The
     * recursion records only where each edge-set starts and ends; `emit`'s
-    * instance is built only if the emitter reads it.
+    * row is built only if the emitter reads it.
     */
-  def search(seriesIn: IndexedSeq[IndexedSeq[TF]], delta: Long)(admit: Double => Boolean)(
-      emit: (=> LocalInstance) => Unit
-  ): Unit = windows(seriesIn, delta) { (series, a, windowEnd) =>
+  private[core] def search(series: IndexedSeq[IndexedSeq[TF]], delta: Long)(admit: Double => Boolean)(
+      emit: (=> InstanceRow) => Unit
+  ): Unit = windows(series, delta) { (a, windowEnd) =>
     val m = series.length
     val (start, end) = (new Array[Int](m), new Array[Int](m)) // E_{i+1} = series(i).slice(start(i), end(i))
-    def instance = LocalInstance(Vector.tabulate(m)(i => series(i).slice(start(i), end(i)).toVector))
+    def instance = InstanceRow.of(Vector.tabulate(m)(i => series(i).slice(start(i), end(i)).toVector))
 
     def rec(ei: Int, startIdx: Int, minSoFar: Double): Unit = {
       val s = series(ei)

@@ -22,11 +22,12 @@ object MaxFlowDP {
     * @return (timestamps `t_1..t_τ` in the window, matrix `flow(κ-1)(i)`)
     */
   def dpTable(
-      seriesIn: IndexedSeq[IndexedSeq[TF]],
+      series: IndexedSeq[IndexedSeq[TF]],
       windowStart: Long,
       windowEnd: Long
   ): (Vector[Long], Vector[Vector[Double]]) = {
-    val (ts, table) = eq2(Series.normalize(seriesIn), windowStart, windowEnd)
+    Series.check(series)
+    val (ts, table) = eq2(series, windowStart, windowEnd)
     (ts.toVector, table.map(_.toVector).toVector)
   }
 
@@ -37,15 +38,15 @@ object MaxFlowDP {
     * scan, not once per window. A kept window holds its anchor, so its grid is
     * never empty.
     */
-  def maxFlow(seriesIn: IndexedSeq[IndexedSeq[TF]], delta: Long): Double = {
+  def maxFlow(series: IndexedSeq[IndexedSeq[TF]], delta: Long): Double = {
     var best = 0.0
-    LocalEnumerator.windows(seriesIn, delta) { (series, a, windowEnd) =>
+    LocalEnumerator.windows(series, delta) { (a, windowEnd) =>
       best = math.max(best, eq2(series, series.head(a).t, windowEnd)._2.last.last)
     }
     best
   }
 
-  /** Equation 2 over normalized series in `[windowStart, windowEnd]`: the
+  /** Equation 2 over checked series in `[windowStart, windowEnd]`: the
     * grid `t_1..t_τ` and the matrix `flow(κ-1)(i)`, both read from each
     * series' slice of the window.
     */

@@ -13,55 +13,45 @@ import scala.math.Ordering.Implicits.seqOrdering
   */
 object TopKEnumerator {
 
-  /** Top-k's one total order, best first: flow descending, then the edge-sets'
-    * timestamps (`tStart` first).
+  /** Top-k's one total order, best first: flow descending, then the vertices,
+    * then the edge-sets' timestamps (`tStart` first). A kernel's rows share
+    * their (empty) vertices, so inside one match the timestamps break ties.
     */
-  private[core] val order: Ordering[LocalInstance] = bestFirst[LocalInstance](_.flow)(Ordering.by(_.key))
-
-  /** [[order]] across matches: the vertices break flow ties first, so inside one match the two agree. */
   private[core] val rowOrder: Ordering[InstanceRow] =
-    bestFirst[InstanceRow](_.flow)(Ordering.by(r => (r.vs, r.sets.map(_.map(_.t)))))
+    Ordering.by((_: InstanceRow).flow)(Ordering.Double.TotalOrdering.reverse).orElseBy(r => (r.vs, r.key))
 
-  /** Flow descending, then `tie`. */
-  private[core] def bestFirst[A](flow: A => Double)(tie: Ordering[A]): Ordering[A] = new Ordering[A] {
-    def compare(a: A, b: A): Int = {
-      val c = java.lang.Double.compare(flow(b), flow(a))
-      if (c != 0) c else tie.compare(a, b)
-    }
-  }
-
-  /** The up-to-k best maximal instances under [[order]], best first. */
+  /** The up-to-k best maximal instances under [[rowOrder]], best first. */
   def topK(
-      seriesIn: IndexedSeq[IndexedSeq[TF]],
+      series: IndexedSeq[IndexedSeq[TF]],
       delta: Long,
       k: Int
-  ): Vector[LocalInstance] = {
+  ): Vector[InstanceRow] = {
     requireK(k)
-    search(new Best(k, order))(_.flow)(seriesIn, delta)(identity).sorted
+    search(new Best(k))(series, delta)(identity).sorted
   }
 
-  /** One match into `best`, which may hold other matches' items: a prefix is admitted until `best` is full, then
-    * while its flow ties or beats the k-th best's. Each instance is offered as `item(instance)`, built only then. */
-  private[core] def search[A](best: Best[A])(flow: A => Double)(series: IndexedSeq[IndexedSeq[TF]], delta: Long)(
-      item: LocalInstance => A): Best[A] = {
-    LocalEnumerator.search(series, delta)(f => !best.full || f >= flow(best.worst))(i => best.offer(item(i)))
+  /** One match into `best`, which may hold other matches' rows: a prefix is admitted until `best` is full, then
+    * while its flow ties or beats the k-th best's. Each instance is offered as `row(instance)`, built only then. */
+  private[core] def search(best: Best)(series: IndexedSeq[IndexedSeq[TF]], delta: Long)(
+      row: InstanceRow => InstanceRow): Best = {
+    LocalEnumerator.search(series, delta)(f => !best.full || f >= best.worst.flow)(r => best.offer(row(r)))
     best
   }
 
-  /** The up-to-k best items offered under `ord`, the one selection of the
-    * kernel, the task and the merge. It holds no more than it was offered, so
-    * a large k allocates nothing up front.
+  /** The up-to-k best rows offered under [[rowOrder]], the one selection of
+    * the kernel, the task and the merge. It holds no more than it was offered,
+    * so a large k allocates nothing up front.
     */
-  private[core] final class Best[A](k: Int, ord: Ordering[A]) extends Serializable {
-    private val heap = mutable.PriorityQueue.empty(ord) // head: the worst of the k kept
+  private[core] final class Best(k: Int) extends Serializable {
+    private val heap = mutable.PriorityQueue.empty(rowOrder) // head: the worst of the k kept
     def full: Boolean = heap.size >= k
-    def worst: A = heap.head // the k-th best once full
-    def offer(a: A): this.type = {
-      if (heap.size < k) heap.enqueue(a) else if (ord.lt(a, heap.head)) { heap.dequeue(); heap.enqueue(a) }
+    def worst: InstanceRow = heap.head // the k-th best once full
+    def offer(r: InstanceRow): this.type = {
+      if (heap.size < k) heap.enqueue(r) else if (rowOrder.lt(r, heap.head)) { heap.dequeue(); heap.enqueue(r) }
       this
     }
-    def offerAll(as: IterableOnce[A]): this.type = { as.iterator.foreach(offer); this }
-    def sorted: Vector[A] = heap.toVector.sorted(ord) // best first
+    def offerAll(rs: IterableOnce[InstanceRow]): this.type = { rs.iterator.foreach(offer); this }
+    def sorted: Vector[InstanceRow] = heap.toVector.sorted(rowOrder) // best first
   }
 
   /** The one check on k, made by the kernel and, before any Spark job, by

@@ -29,8 +29,8 @@ object TopKSearch {
     LocalEnumerator.requireDelta(delta)
     TopKEnumerator.requireK(k)
     StructuralMatcher.aggregate(spark.sparkContext, Index(FlowMotifSearch.checkedEdges(edges)), motif,
-      new TopKEnumerator.Best(k, TopKEnumerator.rowOrder))((best, gt, vs, ps) =>
-      TopKEnumerator.search(best)(_.flow)(gt.seriesOf(ps, 0), delta)(FlowMotifSearch.instanceRow(vs.toSeq, _)),
+      new TopKEnumerator.Best(k))((best, gt, vs, ps) =>
+      TopKEnumerator.search(best)(gt.seriesOf(ps, 0), delta)(_.copy(vs = vs.toSeq)),
       (a, b) => a.offerAll(b.sorted)).sorted
   }
 

@@ -90,7 +90,7 @@ object TestGraphs {
       motif: Motif,
       delta: Long,
       phi: Double
-  ): Set[(Vector[Long], Vector[Vector[Long]])] = {
+  ): Set[(Vector[Long], Seq[Seq[Long]])] = {
     val pairs = edges.filter(e => e.src != e.dst).map(e => (e.src, e.dst)).toSet
     BruteForce.structuralMatches(pairs, motif).flatMap { vs =>
       val series = seriesFor(edges, motif, vs)

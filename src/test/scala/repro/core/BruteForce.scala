@@ -26,7 +26,7 @@ object BruteForce {
   }
 
   /** Is the combination a valid instance (not necessarily maximal)? */
-  def isValid(sets: Vector[Vector[TF]], delta: Long, phi: Double): Boolean = {
+  def isValid(sets: Seq[Seq[TF]], delta: Long, phi: Double): Boolean = {
     if (sets.exists(_.isEmpty)) return false
     val sorted = sets.map(_.sortBy(_.t))
     val ordered = sorted.sliding(2).forall {
@@ -40,7 +40,7 @@ object BruteForce {
 
   /** Is the valid instance maximal w.r.t. the full per-edge series? */
   def isMaximal(
-      sets: Vector[Vector[TF]],
+      sets: Seq[Seq[TF]],
       series: IndexedSeq[IndexedSeq[TF]],
       delta: Long,
       phi: Double
@@ -57,11 +57,11 @@ object BruteForce {
 
   /** All maximal valid instances of an m-edge motif over `series`. */
   def instances(
-      seriesIn: IndexedSeq[IndexedSeq[TF]],
+      series: IndexedSeq[IndexedSeq[TF]],
       delta: Long,
       phi: Double
-  ): Vector[LocalInstance] = {
-    val series = Series.normalize(seriesIn)
+  ): Vector[InstanceRow] = {
+    Series.check(series)
     val m = series.length
     if (m == 0 || series.exists(_.isEmpty)) return Vector.empty
 
@@ -72,7 +72,7 @@ object BruteForce {
     rec(0)
       .filter(sets => isValid(sets, delta, phi))
       .filter(sets => isMaximal(sets, series, delta, phi))
-      .map(LocalInstance(_))
+      .map(InstanceRow.of)
       .toVector
   }
 

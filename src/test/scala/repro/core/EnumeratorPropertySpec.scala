@@ -75,6 +75,8 @@ class EnumeratorPropertySpec extends AnyFunSuite {
     val got = TopKEnumerator.topK(series, delta, k)
     assert(got.map(_.flow) == expectFlows,
       s"seed=$seed: topK flows mismatch: got=${got.map(_.flow)} expect=$expectFlows")
+    // Whole rows: integer flows make ties common, and the order breaks them.
+    assert(got == all.sorted(TopKEnumerator.rowOrder).take(k), s"seed=$seed: topK rows != first k of enumeration")
     got.foreach { inst =>
       assert(BruteForce.isValid(inst.sets, delta, phi = 0.0), s"seed=$seed invalid topK instance")
       assert(BruteForce.isMaximal(inst.sets, series, delta, phi = 0.0), s"seed=$seed non-maximal topK")

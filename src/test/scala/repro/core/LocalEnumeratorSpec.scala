@@ -6,7 +6,7 @@ import repro.TestGraphs
 /** Algorithm 1 against the paper's worked examples and hand-checked cases. */
 class LocalEnumeratorSpec extends AnyFunSuite {
 
-  private def keys(inst: Seq[LocalInstance]): Set[Vector[Vector[Long]]] =
+  private def keys(inst: Seq[InstanceRow]): Set[Seq[Seq[Long]]] =
     inst.map(_.key).toSet
 
   // ---------------------------------------------------------------- Figure 7
@@ -158,14 +158,15 @@ class LocalEnumeratorSpec extends AnyFunSuite {
     }
   }
 
-  test("unsorted input series are normalized before enumeration") {
-    val shuffled = Vector(
-      Vector(TF(15, 3), TF(10, 5), TF(13, 2)),
-      Vector(TF(16, 3), TF(9, 4), TF(11, 3)),
-      Vector(TF(19, 6), TF(14, 4))
-    )
-    assert(keys(LocalEnumerator.enumerate(shuffled, 10, 0)) ==
-           keys(LocalEnumerator.enumerate(TestGraphs.fig7Series, 10, 0)))
+  test("unsorted input series are rejected by every kernel") {
+    // Figure 7's series with e_1 out of order: (15, 3) before (10, 5).
+    val unsorted = TestGraphs.fig7Series.updated(0, Vector(TF(15, 3), TF(10, 5), TF(13, 2)))
+    for (kernel <- Seq[IndexedSeq[IndexedSeq[TF]] => Any](LocalEnumerator.enumerate(_, 10, 0),
+        LocalEnumerator.count(_, 10, 0), TopKEnumerator.topK(_, 10, 3), MaxFlowDP.maxFlow(_, 10),
+        MaxFlowDP.dpTable(_, 10, 20))) {
+      val e = intercept[IllegalArgumentException](kernel(unsorted))
+      assert(e.getMessage.contains("series must be sorted by t, got t=10 after t=15"), e.getMessage)
+    }
   }
 
   test("negative δ is rejected") {

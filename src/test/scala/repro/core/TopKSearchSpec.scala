@@ -69,7 +69,7 @@ class TopKSearchSpec extends SparkSpec {
     val grouped = for (all <- Gen.listOf(row); n <- Gen.choose(1, 8); cuts <- Gen.listOfN(n - 1, Gen.choose(0, all.length)))
       yield (all, (0 +: cuts.sorted).zip(cuts.sorted :+ all.length).map { case (a, b) => all.slice(a, b) })
     val ord = TopKEnumerator.rowOrder
-    def best(items: IterableOnce[InstanceRow], k: Int) = new TopKEnumerator.Best(k, ord).offerAll(items).sorted
+    def best(items: IterableOnce[InstanceRow], k: Int) = new TopKEnumerator.Best(k).offerAll(items).sorted
     val prop = Prop.forAll(grouped, Gen.choose(1, 10)) { case ((all, groups), k) =>
       best(groups.iterator.flatMap(g => best(g, k)), k) == all.sorted(ord).take(k)
     }
